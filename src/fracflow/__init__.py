@@ -62,7 +62,15 @@ from .reduction import (
     lq_seminorm,
 )
 from .setpoint import SetpointResult, baseline_pdd, solve_setpoint, step_response
-from .solvers import SolveReport, pss_energy, solve_linear, solve_pss, solve_slab
+from .solvers import (
+    BulkCondensation,
+    SolveReport,
+    condense_bulk,
+    pss_energy,
+    solve_linear,
+    solve_pss,
+    solve_slab,
+)
 from .sweep import SweepTable, TrendDiagnostics, run_sweep, trend_check
 
 __version__ = "0.1.0"

@@ -178,14 +178,20 @@ def assemble_A(m: Mesh, p: FlowParams, aperture: float | None = None) -> LinearS
     return LinearSystem(A, np.zeros(n), [(m.well_node, 0.0)], m)
 
 
+def _bulk_load(m: Mesh) -> np.ndarray:
+    """P1 lumped load int_bulk phi_i (a third of each triangle's area)."""
+    area, _ = _tri_geometry(m)
+    load = np.zeros(m.num_nodes)
+    np.add.at(load, m.triangles.ravel(), np.repeat(area / 3.0, 3))
+    return load
+
+
 def assemble_B_in(m: Mesh, aperture: float | None = None) -> np.ndarray:
     """Input vector: minus the P1 partition-of-unity load, normalized by
     the total volume |bulk| + h L so its entries sum to -1."""
     h = m.aperture if aperture is None else aperture
     area, _ = _tri_geometry(m)
-    n = m.num_nodes
-    load = np.zeros(n)
-    np.add.at(load, m.triangles.ravel(), np.repeat(area / 3.0, 3))
+    load = _bulk_load(m)
     frac_len = 0.0
     if h != 0.0 and len(m.fracture_edges) > 0:
         ell = _edge_geometry(m, m.fracture_edges)

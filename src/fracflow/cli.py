@@ -23,7 +23,7 @@ from .io import write_csv, write_field_vtk
 from .meshing import build_reservoir_mesh
 from .reduction import divergence_study, isotropic_report, linear_inflow
 from .setpoint import baseline_pdd, solve_setpoint
-from .solvers import solve_pss
+from .solvers import condense_bulk, solve_pss
 from .sweep import run_sweep, trend_check
 
 EXIT_OK = 0
@@ -57,13 +57,15 @@ def _cmd_solve(spec: RunSpec, out: Path) -> int:
 
 def _cmd_inverse(spec: RunSpec, out: Path) -> int:
     mesh = build_reservoir_mesh(spec.domain)
+    condensation = condense_bulk(mesh, spec.params.k_p)
     target = spec.inverse.target_pdd
     if target is None:
-        target = baseline_pdd(mesh, spec.params, spec.inverse.q_baseline)
+        target = baseline_pdd(mesh, spec.params, spec.inverse.q_baseline,
+                              condensation=condensation)
     result = solve_setpoint(
         mesh, spec.params, target, tol=spec.inverse.tol,
         max_outer=spec.inverse.max_outer, picard_tol=spec.solver.tol,
-        theta=spec.solver.theta)
+        theta=spec.solver.theta, condensation=condensation)
     _write_json({
         "target_PDD": target,
         "Q": result.Q,
@@ -136,7 +138,7 @@ def main(argv=None) -> int:
         cmd.add_argument("--config", required=True, help="JSON configuration file")
         cmd.add_argument("--out", default=None, help="output directory")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="cell parallelism for sweep/validate")
+                         help="cell parallelism for sweep (other commands ignore it)")
     args = parser.parse_args(argv)
 
     try:

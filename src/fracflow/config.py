@@ -9,6 +9,7 @@ with :func:`runspec_to_json` parses back to an equal RunSpec.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigError, GeometryError
@@ -76,6 +77,16 @@ class SweepSettings:
     tol: float = 1e-6
     max_outer: int = 50
 
+    def __post_init__(self):
+        if not all(math.isfinite(L) and L > 0 for L in self.lengths):
+            raise ConfigError("sweep.lengths must all be finite and > 0")
+        if not all(math.isfinite(b) and b >= 0 for b in self.betas):
+            raise ConfigError("sweep.betas must all be finite and >= 0")
+        if not self.tol > 0:
+            raise ConfigError("sweep.tol must be > 0")
+        if self.max_outer < 1:
+            raise ConfigError("sweep.max_outer must be >= 1")
+
 
 @dataclass(frozen=True)
 class ValidateSettings:
@@ -91,6 +102,8 @@ class ValidateSettings:
             raise ConfigError("validate.flavor must be 'isotropic' or 'anisotropic'")
         if not self.apertures:
             raise ConfigError("validate.apertures must be nonempty")
+        if self.flavor == "isotropic" and not self.scalings:
+            raise ConfigError("validate.scalings must be nonempty for the isotropic flavor")
 
 
 @dataclass(frozen=True)

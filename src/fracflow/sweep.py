@@ -5,7 +5,9 @@ every (L, beta) cell solves the inverse problem for the rate sustaining
 that drawdown and tabulates the diffusive capacity J = Q / PDD*.  All
 cells of one sweep share a single node set (only the fracture tagging
 differs), so comparisons across the table see no mesh-induced noise from
-the discrete point well.
+the discrete point well.  The shared node set also means one bulk
+condensation over the union of the fracture nodes serves the baseline
+and every cell: a sweep factorizes the bulk once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import ControlError, SolverError
 from .kernels import FlowParams
 from .meshing import DomainSpec, build_reservoir_mesh_family
 from .setpoint import baseline_pdd, solve_setpoint
+from .solvers import condense_bulk
 
 __all__ = ["SweepTable", "TrendDiagnostics", "run_sweep", "trend_check"]
 
@@ -67,10 +70,10 @@ class TrendDiagnostics:
                 and self.saturated)
 
 
-def _solve_cell(mesh, p, beta, target, tol, max_outer, picard_tol):
+def _solve_cell(mesh, p, beta, target, tol, max_outer, picard_tol, condensation):
     params = replace(p, beta=float(beta))
     res = solve_setpoint(mesh, params, target, tol=tol, max_outer=max_outer,
-                         picard_tol=picard_tol)
+                         picard_tol=picard_tol, condensation=condensation)
     # tabulated against the imposed drawdown, so J * PDD* == Q holds exactly
     return res.Q, res.Q / target, res.outer_iterations
 
@@ -88,8 +91,9 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
     if not Ls or not betas:
         raise ValueError("L_list and beta_list must be nonempty")
     meshes = build_reservoir_mesh_family(spec, Ls)
+    condensation = condense_bulk(meshes, p.k_p)
 
-    pdd_star = baseline_pdd(meshes[0], p, Q_baseline)
+    pdd_star = baseline_pdd(meshes[0], p, Q_baseline, condensation=condensation)
     j_star = Q_baseline / pdd_star
 
     nb, nl = len(betas), len(Ls)
@@ -104,7 +108,7 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
         i, j = task
         try:
             return task, _solve_cell(meshes[j], p, betas[i], pdd_star,
-                                     tol, max_outer, picard_tol), None
+                                     tol, max_outer, picard_tol, condensation), None
         except (ControlError, SolverError) as exc:
             return task, None, str(exc)
 

@@ -101,6 +101,18 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["sweep", "--config", mismatch, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_bad_sweep_and_validate_settings_exit_2(tmp_path):
+    sweep = {"lengths": [4.0, 8.0], "betas": [1e-3]}
+    bad = [("sweep", {"sweep": dict(sweep, max_outer=0)}),
+           ("sweep", {"sweep": dict(sweep, betas=[-1e-3])}),
+           ("validate", {"validate": {"flavor": "isotropic", "scalings": []}})]
+    for k, (command, section) in enumerate(bad):
+        cfg = write_cfg(tmp_path, dict({"command": command, "domain": DOMAIN,
+                                        "params": PARAMS}, **section),
+                        name=f"bad{k}.json")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_solver_failure_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "inverse", "domain": DOMAIN,

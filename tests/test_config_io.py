@@ -69,6 +69,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="command"):
             parse_config_data(dict(MINIMAL, command="simulate"))
 
+    @pytest.mark.parametrize("sweep, match", [
+        ({"max_outer": 0}, "sweep.max_outer"),
+        ({"tol": 0.0}, "sweep.tol"),
+        ({"betas": [1e-3, -1e-3]}, "sweep.betas"),
+        ({"betas": [float("inf")]}, "sweep.betas"),
+        ({"betas": [float("nan")]}, "sweep.betas"),
+        ({"lengths": [10.0, 0.0]}, "sweep.lengths"),
+        ({"lengths": [-5.0]}, "sweep.lengths"),
+    ])
+    def test_bad_sweep_settings_named(self, sweep, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config_data(dict(MINIMAL, command="sweep", sweep=sweep))
+
+    def test_isotropic_validate_needs_scalings(self):
+        with pytest.raises(ConfigError, match="scalings"):
+            parse_config_data(dict(MINIMAL, command="validate",
+                                   validate={"flavor": "isotropic", "scalings": []}))
+        # the anisotropic check runs no scaling study, so it does not need any
+        spec = parse_config_data(dict(MINIMAL, command="validate",
+                                      validate={"flavor": "anisotropic", "scalings": []}))
+        assert spec.validate.scalings == []
+
     def test_serialization_round_trip(self, tmp_path):
         spec = parse_config_data(dict(
             MINIMAL, command="sweep",

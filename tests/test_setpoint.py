@@ -97,6 +97,10 @@ class TestSetpoint:
             solve_setpoint(rect_mesh, p, target, max_outer=2)
         assert len(err.value.history) == 2
 
+    def test_empty_budget_rejected(self, rect_mesh):
+        with pytest.raises(ValueError, match="max_outer"):
+            solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), 500.0, max_outer=0)
+
     def test_invalid_target_rejected(self, rect_mesh):
         with pytest.raises(ValueError):
             solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), -5.0)
