@@ -13,7 +13,7 @@ params = FlowParams(alpha_f=0.05, beta=0.0, k_p=1.0)
 
 lengths = [10.0, 20.0, 30.0, 40.0, 50.0]
 betas = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
-table = run_sweep(spec, lengths, betas, 1000.0, params, threads=4)
+table = run_sweep(spec, lengths, betas, 1000.0, params)
 
 print(f"PDD* = {table.meta['PDD_star']:.2f}, "
       f"unfractured J* = {table.meta['J_star']:.4f}\n")

@@ -1,12 +1,15 @@
 """Command-line surface.
 
-    fracflow solve    --config cfg.json [--out DIR] [--threads N]
+    fracflow solve    --config cfg.json [--out DIR]
     fracflow inverse  --config cfg.json ...
     fracflow sweep    --config cfg.json ...
     fracflow validate --config cfg.json ...
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 trend or error-bound check failure (sweep/validate).
+
+A sweep solves its cells serially on one bulk factorization; a config
+that still sets "threads" is rejected as an unknown key (exit 2).
 """
 
 from __future__ import annotations
@@ -79,13 +82,13 @@ def _cmd_inverse(spec: RunSpec, out: Path) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(spec: RunSpec, out: Path, threads: int) -> int:
+def _cmd_sweep(spec: RunSpec, out: Path) -> int:
     s = spec.sweep
     if not s.lengths or not s.betas:
         raise ConfigError("sweep.lengths and sweep.betas must be nonempty")
     table = run_sweep(spec.domain, s.lengths, s.betas, s.q_baseline,
                       spec.params, tol=s.tol, max_outer=s.max_outer,
-                      picard_tol=spec.solver.tol, threads=threads)
+                      picard_tol=spec.solver.tol)
     write_csv(table, out / "sweep.csv")
     if table.failed:
         print(f"{len(table.failed)} sweep cells failed to converge", file=sys.stderr)
@@ -137,8 +140,6 @@ def main(argv=None) -> int:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON configuration file")
         cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="cell parallelism for sweep (other commands ignore it)")
     args = parser.parse_args(argv)
 
     try:
@@ -152,7 +153,6 @@ def main(argv=None) -> int:
 
     out = Path(args.out if args.out is not None else spec.output.dir)
     out.mkdir(parents=True, exist_ok=True)
-    threads = args.threads if args.threads is not None else spec.threads
 
     try:
         if args.command == "solve":
@@ -160,7 +160,7 @@ def main(argv=None) -> int:
         if args.command == "inverse":
             return _cmd_inverse(spec, out)
         if args.command == "sweep":
-            return _cmd_sweep(spec, out, threads)
+            return _cmd_sweep(spec, out)
         return _cmd_validate(spec, out)
     except (SolverError, ControlError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

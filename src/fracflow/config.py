@@ -123,14 +123,11 @@ class RunSpec:
     sweep: SweepSettings = SweepSettings()
     validate: ValidateSettings = ValidateSettings()
     output: OutputSettings = OutputSettings()
-    threads: int = 1
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(
                 f"command must be one of {', '.join(COMMANDS)}; got {self.command!r}")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
 
 
 _SECTION_FIELDS = {
@@ -180,7 +177,7 @@ def parse_config_data(data: dict) -> RunSpec:
     """Validate an already-decoded configuration object."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
-    allowed = ("command", "threads") + tuple(_SECTION_FIELDS)
+    allowed = ("command",) + tuple(_SECTION_FIELDS)
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}'")
@@ -188,11 +185,7 @@ def parse_config_data(data: dict) -> RunSpec:
         raise ConfigError("missing required key 'command'")
     if "domain" not in data:
         raise ConfigError("missing required key 'domain'")
-    try:
-        threads = int(data.get("threads", 1))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"threads must be an integer: {exc}") from exc
-    kwargs = {"command": data["command"], "threads": threads}
+    kwargs = {"command": data["command"]}
     for name in _SECTION_FIELDS:
         if name in data:
             kwargs[name] = _build_section(name, data[name])
@@ -213,7 +206,7 @@ def parse_config(path) -> RunSpec:
 
 
 def runspec_to_dict(spec: RunSpec) -> dict:
-    out = {"command": spec.command, "threads": spec.threads}
+    out = {"command": spec.command}
     for name in _SECTION_TYPES:
         section = asdict(getattr(spec, name))
         if name == "domain":

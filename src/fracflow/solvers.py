@@ -32,8 +32,7 @@ fallback.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -76,11 +75,16 @@ def _solve_spd(A: sparse.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray:
     """Direct factorization with residual verification, CG fallback.
 
     One step of iterative refinement keeps the direct path at machine
-    accuracy even for ill-conditioned systems.
+    accuracy even for ill-conditioned systems.  The system is solved for
+    b scaled by a power of two to max|b| in [0.5, 1): the scaling is exact
+    in floating point, and the squared norms of b and of the residuals
+    cannot underflow however small b is.
     """
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
+    if not np.any(b):
         return np.zeros_like(b)
+    scale = np.ldexp(1.0, int(np.frexp(np.abs(b).max())[1]))
+    b = b / scale
+    norm_b = np.linalg.norm(b)
     norm_A = sparse.linalg.norm(A)
 
     def accepted(x):
@@ -104,7 +108,7 @@ def _solve_spd(A: sparse.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray:
             res = np.linalg.norm(b - A @ x) / norm_b
         history.append(("direct", res))
         if accepted(x):
-            return x
+            return x * scale
     except RuntimeError as exc:  # singular factorization
         history.append(("direct", str(exc)))
 
@@ -119,7 +123,7 @@ def _solve_spd(A: sparse.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray:
         raise SolverError(
             f"linear solve failed to reach relative residual {tol:g} (got {res:g})",
             history)
-    return x
+    return x * scale
 
 
 def solve_linear(sys: LinearSystem, tol: float = 1e-10):
@@ -215,8 +219,7 @@ class BulkCondensation:
 
     trace[0] is the well node, pinned to zero; the other trace nodes are
     the fracture nodes of the meshes it was built for.  Build it with
-    `condense_bulk`.  One instance may serve several threads: the only
-    use of the shared factor after construction is guarded by a lock.
+    `condense_bulk`.
     """
 
     mesh: Mesh
@@ -232,8 +235,6 @@ class BulkCondensation:
     load_I: np.ndarray      # (nI,) m_I
     mIu: float              # m_I . u
     area: float             # |bulk|
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False,
-                                  repr=False)
 
     def line(self, m: Mesh, k_p: float, h: float) -> TraceLine:
         """The fracture line of mesh m at aperture h on this trace."""
@@ -284,8 +285,7 @@ class BulkCondensation:
         w = np.empty(m.num_nodes)
         w[self.trace] = z
         rhs = q * self.load_I - self.A_IG @ z
-        with self._lock:
-            w[self.interior] = self.lu.solve(rhs)
+        w[self.interior] = self.lu.solve(rhs)
         return ScalarField(w, m)
 
 

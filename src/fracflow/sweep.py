@@ -12,7 +12,6 @@ and every cell: a sweep factorizes the bulk once.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,17 +69,9 @@ class TrendDiagnostics:
                 and self.saturated)
 
 
-def _solve_cell(mesh, p, beta, target, tol, max_outer, picard_tol, condensation):
-    params = replace(p, beta=float(beta))
-    res = solve_setpoint(mesh, params, target, tol=tol, max_outer=max_outer,
-                         picard_tol=picard_tol, condensation=condensation)
-    # tabulated against the imposed drawdown, so J * PDD* == Q holds exactly
-    return res.Q, res.Q / target, res.outer_iterations
-
-
 def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
               p: FlowParams, tol: float = 1e-6, max_outer: int = 50,
-              picard_tol: float = 1e-9, threads: int = 1) -> SweepTable:
+              picard_tol: float = 1e-9) -> SweepTable:
     """Tabulate J(L, beta) at the drawdown of the unfractured baseline.
 
     A cell whose set-point solve fails is recorded and skipped; the
@@ -102,27 +93,19 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
     iters = np.zeros((nb, nl), dtype=int)
     failed = []
 
-    tasks = [(i, j) for i in range(nb) for j in range(nl)]
-
-    def run(task):
-        i, j = task
-        try:
-            return task, _solve_cell(meshes[j], p, betas[i], pdd_star,
-                                     tol, max_outer, picard_tol, condensation), None
-        except (ControlError, SolverError) as exc:
-            return task, None, str(exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    for (i, j), cell, err in results:
-        if err is not None:
-            failed.append((i, j, err))
-            continue
-        Q[i, j], J[i, j], iters[i, j] = cell
+    for i, beta in enumerate(betas):
+        params = replace(p, beta=beta)
+        for j, mesh in enumerate(meshes):
+            try:
+                res = solve_setpoint(mesh, params, pdd_star, tol=tol,
+                                     max_outer=max_outer, picard_tol=picard_tol,
+                                     condensation=condensation)
+            except (ControlError, SolverError) as exc:
+                failed.append((i, j, str(exc)))
+                continue
+            # tabulated against the imposed drawdown, so J * PDD* == Q holds exactly
+            Q[i, j], J[i, j] = res.Q, res.Q / pdd_star
+            iters[i, j] = res.outer_iterations
 
     meta = {
         "shape": spec.shape,

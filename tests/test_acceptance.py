@@ -174,7 +174,7 @@ SWEEP_BETAS = [1e-5, 1e-4, 1e-3, 1e-2, 1e-1]
 def sweep_table():
     spec = ff.DomainSpec(fracture_length=50.0, **RECT)
     p = ff.FlowParams(alpha_f=ALPHA, beta=0.0)
-    return ff.run_sweep(spec, SWEEP_LENGTHS, SWEEP_BETAS, 1000.0, p, threads=4)
+    return ff.run_sweep(spec, SWEEP_LENGTHS, SWEEP_BETAS, 1000.0, p)
 
 
 def test_criterion_8_capacity_trends(sweep_table):
@@ -247,8 +247,7 @@ def _det_configs(tmp_path):
             "command": "sweep", "domain": dict(RECT, fracture_length=50.0),
             "params": {"alpha_f": ALPHA, "beta": 0.0},
             "sweep": {"lengths": SWEEP_LENGTHS, "betas": SWEEP_BETAS,
-                      "q_baseline": 1000.0},
-            "threads": 4},
+                      "q_baseline": 1000.0}},
         "validate_aniso": {
             "command": "validate", "domain": slab_domain,
             "params": {"alpha_f": 1.0, "beta": 1.0},

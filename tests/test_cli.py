@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fracflow.cli import main
 
 DOMAIN = {"shape": "rectangle", "width": 60.0, "height": 48.0,
@@ -56,8 +58,7 @@ def test_sweep_reruns_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "sweep", "domain": dict(DOMAIN, fracture_length=12.0),
         "params": dict(PARAMS, beta=0.0),
-        "sweep": {"lengths": [4.0, 8.0, 12.0], "betas": [1e-4, 1e-2]},
-        "threads": 2})
+        "sweep": {"lengths": [4.0, 8.0, 12.0], "betas": [1e-4, 1e-2]}})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "sweep.csv").read_bytes()
@@ -99,6 +100,25 @@ def test_config_errors_exit_2(tmp_path):
     mismatch = write_cfg(tmp_path, {"command": "solve", "domain": DOMAIN},
                          name="m.json")
     assert main(["sweep", "--config", mismatch, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_threads_key_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "command": "sweep", "domain": DOMAIN, "params": PARAMS,
+        "sweep": {"lengths": [4.0, 8.0], "betas": [1e-3]}, "threads": 2})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'threads'" in capsys.readouterr().err
+
+
+def test_threads_flag_rejected_by_argparse(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "command": "sweep", "domain": DOMAIN, "params": PARAMS,
+        "sweep": {"lengths": [4.0, 8.0], "betas": [1e-3]}})
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"),
+              "--threads", "2"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_sweep_and_validate_settings_exit_2(tmp_path):

@@ -39,7 +39,11 @@ class TestParseConfig:
         assert spec.params.k_f == 1.0 / spec.params.alpha_f
         assert spec.domain.grading == 1.3
         assert spec.output.dir == "out"
-        assert spec.threads == 1
+
+    def test_threads_key_rejected(self):
+        # a sweep runs serially; the retired thread count is an unknown key
+        with pytest.raises(ConfigError, match="unknown key 'threads'"):
+            parse_config_data(dict(MINIMAL, threads=1))
 
     def test_negative_beta_named(self, tmp_path):
         bad = dict(MINIMAL, params={"beta": -1.0})
@@ -95,8 +99,7 @@ class TestParseConfig:
         spec = parse_config_data(dict(
             MINIMAL, command="sweep",
             params={"alpha_f": 0.05, "beta": 0.01},
-            sweep={"lengths": [2.0, 4.0], "betas": [1e-4, 1e-2]},
-            threads=4))
+            sweep={"lengths": [2.0, 4.0], "betas": [1e-4, 1e-2]}))
         text = runspec_to_json(spec)
         again = parse_config_data(json.loads(text))
         assert again == spec

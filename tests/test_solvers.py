@@ -58,6 +58,22 @@ class TestSolveLinear:
             solve_linear(LinearSystem(A, b, [], rect_mesh))
         assert err.value.history  # residual history attached
 
+    def test_tiny_rate_scales_the_unit_field(self, rect_mesh):
+        # |b| is far below the square root of the smallest normal double,
+        # so an unscaled norm of b or of a residual underflows to zero
+        sys = assemble_A(rect_mesh, FlowParams(alpha_f=0.05, beta=0.1))
+
+        def field(Q):
+            return solve_linear(LinearSystem(
+                sys.matrix, -assemble_B_in(rect_mesh) * Q,
+                sys.constrained_nodes, rect_mesh), tol=1e-13).values
+
+        Q = 2.9e-285
+        unit = field(1.0)
+        tiny = field(Q)
+        assert (np.linalg.norm(tiny / Q - unit)
+                <= 1e-9 * np.linalg.norm(unit))
+
 
 class TestSolvePss:
     def test_darcy_single_iteration_matches_linear(self, rect_mesh):

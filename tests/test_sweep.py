@@ -96,14 +96,11 @@ class TestRunSweep:
         row = t.J[-1]
         assert row.max() - row.min() < 0.15 * row.mean()
 
-    def test_deterministic_and_thread_invariant(self, small_sweep):
+    def test_deterministic(self, small_sweep):
         spec, p, t = small_sweep
         again = run_sweep(spec, [4.0, 8.0, 12.0], [1e-5, 1e-3, 1e-1], 1000.0, p)
-        threaded = run_sweep(spec, [4.0, 8.0, 12.0], [1e-5, 1e-3, 1e-1],
-                             1000.0, p, threads=3)
         np.testing.assert_array_equal(t.J, again.J)
-        np.testing.assert_array_equal(t.J, threaded.J)
-        np.testing.assert_array_equal(t.Q, threaded.Q)
+        np.testing.assert_array_equal(t.Q, again.Q)
 
     def test_failed_cells_recorded_not_raised(self):
         spec = DomainSpec(shape="rectangle", fracture_length=8.0, width=60.0,
