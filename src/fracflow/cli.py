@@ -8,7 +8,7 @@
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 trend or error-bound check failure (sweep/validate).
 
-A sweep solves its cells serially on one bulk factorization; a config
+A sweep solves its cells serially on one bulk condensation; a config
 that still sets "threads" is rejected as an unknown key (exit 2).
 """
 

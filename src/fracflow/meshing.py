@@ -176,14 +176,11 @@ def _grid_mesh(xs, ys, frac_x_lo=None, frac_x_hi=None, frac_y=None,
     def nid(iy, ix):
         return iy * nx + ix
 
-    tris = []
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            n00, n10 = nid(iy, ix), nid(iy, ix + 1)
-            n01, n11 = nid(iy + 1, ix), nid(iy + 1, ix + 1)
-            tris.append((n00, n10, n11))
-            tris.append((n00, n11, n01))
-    triangles = np.array(tris, dtype=int)
+    # lower-left node of every cell, row by row; two triangles per cell
+    n00 = (nx * np.arange(ny - 1)[:, None] + np.arange(nx - 1)).ravel()
+    n10, n01, n11 = n00 + 1, n00 + nx, n00 + nx + 1
+    triangles = np.stack([np.column_stack([n00, n10, n11]),
+                          np.column_stack([n00, n11, n01])], axis=1).reshape(-1, 3)
 
     fracture_edges = np.empty((0, 2), dtype=int)
     if frac_y is not None:
@@ -197,17 +194,17 @@ def _grid_mesh(xs, ys, frac_x_lo=None, frac_x_hi=None, frac_y=None,
         fracture_edges = np.array(pairs, dtype=int).reshape(-1, 2)
 
     boundary = {}
-    bottom = [(nid(0, ix), nid(0, ix + 1)) for ix in range(nx - 1)]
-    top = [(nid(ny - 1, ix), nid(ny - 1, ix + 1)) for ix in range(nx - 1)]
-    left = [(nid(iy, 0), nid(iy + 1, 0)) for iy in range(ny - 1)]
-    right = [(nid(iy, nx - 1), nid(iy + 1, nx - 1)) for iy in range(ny - 1)]
+    bottom = np.column_stack([np.arange(nx - 1), np.arange(1, nx)])
+    top = bottom + nid(ny - 1, 0)
+    left = np.column_stack([nid(np.arange(ny - 1), 0), nid(np.arange(1, ny), 0)])
+    right = left + (nx - 1)
     if tags == "slab":
-        boundary[TAG_FRAC_MINUS] = np.array(bottom, dtype=int)
-        boundary[TAG_FRAC_PLUS] = np.array(top, dtype=int)
-        boundary[TAG_WELL] = np.array(left, dtype=int)
-        boundary[TAG_FRAC_OUT] = np.array(right, dtype=int)
+        boundary[TAG_FRAC_MINUS] = bottom
+        boundary[TAG_FRAC_PLUS] = top
+        boundary[TAG_WELL] = left
+        boundary[TAG_FRAC_OUT] = right
     else:
-        boundary[TAG_OUTER] = np.array(bottom + top + left + right, dtype=int)
+        boundary[TAG_OUTER] = np.concatenate([bottom, top, left, right])
 
     return nodes, triangles, fracture_edges, boundary
 

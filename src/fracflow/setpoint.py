@@ -14,7 +14,7 @@ the correction vanishes and the first rate is already exact.
 Every solve here runs on the bulk condensed onto the fracture trace
 (`fracflow.solvers.condense_bulk`): F lives on the trace, so the
 correction zt needs no interior load, and C follows from the trace
-values alone.  A set-point solve factorizes the bulk once, or not at all
+values alone.  A set-point solve condenses the bulk once, or not at all
 when the caller passes the condensation of its node set.
 """
 
@@ -83,7 +83,7 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
     """Find Q such that the pseudo-steady drawdown equals target_pdd.
 
     Pass the `condensation` of m's node set to share one bulk
-    factorization between calls.  Raises ControlError with the (Q, PDD)
+    condensation between calls.  Raises ControlError with the (Q, PDD)
     history if max_outer is exhausted before |PDD - target| <= tol * target.
     """
     if not (np.isfinite(target_pdd) and target_pdd > 0):

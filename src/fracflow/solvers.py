@@ -9,19 +9,23 @@ P1 lumped load:
 
     S = A_GG - A_GI A_II^-1 A_IG,   u = A_II^-1 m_I,   r = m_G - A_GI u.
 
-A is symmetric, so r is both the condensed load and the condensed output
-weight.  The cost is one sparse factorization of A_II per node set, one
-solve for u and ceil(nG / _SCHUR_BLOCK) block solves for the columns of
-S; A_II^-1 A_IG is never formed whole.  A mesh family (a sweep) shares
-one node set, so one condensation over the union of its fracture nodes
-serves every cell.
+The well is pinned to zero, so its row and column of S and its entry of
+r are zero.  A is symmetric, so r is both the condensed load and the
+condensed output weight.  The cost is two sparse factorizations per node
+set: one of A_II that only yields a fill-reducing order of the interior,
+and one of the bulk without the well, ordered [interior in that order,
+trace], whose trailing block gives S with no further solve.  One solve
+with that bordered factor gives r and m_I . u.  A mesh family (a sweep)
+shares one node set, so one condensation over the union of its fracture
+nodes serves every cell.
 
 `solve_pss` runs the frozen-coefficient (Picard) iteration on the trace
 alone: each step adds the line stiffness at the current gradient to S and
 solves a dense nG x nG system.  The mobility nonlinearity is monotone, so
 Picard converges without globalization tricks; damping is available as a
 safeguard and halves automatically if the nonlinear residual grows.  The
-full nodal field is rebuilt with one triangular solve at the end.
+full nodal field is rebuilt with one solve with the bordered factor at
+the end.
 
 The slab problems keep the sparse path: each Picard step reassembles the
 slab operator and re-solves it.  Solves are deterministic for fixed
@@ -60,7 +64,6 @@ __all__ = ["BulkCondensation", "SolveReport", "TraceLine", "condense_bulk",
            "solve_linear", "solve_pss", "solve_slab", "pss_energy"]
 
 _STAGNATION_LIMIT = 10
-_SCHUR_BLOCK = 8  # Schur-complement columns per block solve
 
 
 @dataclass(frozen=True)
@@ -226,11 +229,10 @@ class BulkCondensation:
     k_p: float
     trace: np.ndarray       # (nG,) node ids
     position: np.ndarray    # (n,) trace position of every node, -1 if interior
-    interior: np.ndarray    # (nI,) node ids
-    lu: object              # sparse LU factor of A_II
-    A_IG: sparse.csr_matrix
-    S: np.ndarray           # (nG, nG) Schur complement
-    r: np.ndarray           # (nG,) m_G - A_GI u
+    interior: np.ndarray    # (nI,) node ids, in the factor's order
+    lu: object              # sparse LU of the bulk ordered [interior, trace[1:]]
+    S: np.ndarray           # (nG, nG) Schur complement, zero on the well
+    r: np.ndarray           # (nG,) m_G - A_GI u, zero on the well
     load_G: np.ndarray      # (nG,) m_G
     load_I: np.ndarray      # (nI,) m_I
     mIu: float              # m_I . u
@@ -280,21 +282,32 @@ class BulkCondensation:
         return z
 
     def full_field(self, m: Mesh, z: np.ndarray, q: float) -> ScalarField:
-        """Nodal field of trace values z with interior load q * m_I, by one
-        triangular solve with the bulk factor."""
+        """Nodal field of trace values z (zero on the well) with interior
+        load q * m_I, by one triangular solve with the bordered factor.
+
+        The trace rows of the right-hand side, S z + q (m_G - r), make z
+        the trace part of the solution; its interior part is the field.
+        """
+        rhs_G = (self.S @ z + q * (self.load_G - self.r))[1:]
+        x = self.lu.solve(np.concatenate([q * self.load_I, rhs_G]))
         w = np.empty(m.num_nodes)
+        w[self.interior] = x[:len(self.interior)]
         w[self.trace] = z
-        rhs = q * self.load_I - self.A_IG @ z
-        w[self.interior] = self.lu.solve(rhs)
         return ScalarField(w, m)
 
 
 def condense_bulk(meshes, k_p: float) -> BulkCondensation:
-    """Factorize the bulk of one node set once and condense it onto the trace.
+    """Factorize the bulk of one node set and condense it onto the trace.
 
     `meshes` is a Mesh or a family of meshes sharing one node set (as from
     build_reservoir_mesh_family); the trace is the well plus the union of
     their fracture nodes, so the result serves every mesh of the family.
+
+    A first factorization of A_II only yields a fill-reducing order of
+    the interior.  The bulk without the pinned well, ordered [interior in
+    that order, trace], is then factorized without pivoting (K = L D L^T
+    in SuperLU's K = L U with U = D L^T), and S is read off the trailing
+    block: S = U_GG^T D^-1 U_GG.
     """
     meshes = [meshes] if isinstance(meshes, Mesh) else list(meshes)
     m = meshes[0]
@@ -306,28 +319,43 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
     position[trace] = np.arange(len(trace))
     interior = np.flatnonzero(position < 0)
 
-    A = _bulk_stiffness(m, k_p)
-    A_I = A[interior]
-    A_IG = A_I[:, trace].tocsc()
-    A_GI = A_IG.T.tocsr()
+    A = _bulk_stiffness(m, k_p).tocsr()
+    symmetric = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     try:
-        lu = splu(A_I[:, interior].tocsc())
+        # argsort in the same expression: perm_c is a view that keeps the
+        # whole ordering factor alive
+        interior = interior[np.argsort(splu(
+            A[interior][:, interior].tocsc(), permc_spec="MMD_AT_PLUS_A",
+            **symmetric).perm_c)]
+        order = np.concatenate([interior, trace[1:]])
+        lu = splu(A[order][:, order].tocsc(), permc_spec="NATURAL", **symmetric)
     except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"bulk operator off the trace is singular: {exc}",
+        raise SolverError(f"bulk operator off the well is singular: {exc}",
                           [("direct", str(exc))]) from exc
+    identity = np.arange(len(order))
+    if not (np.array_equal(lu.perm_r, identity)
+            and np.array_equal(lu.perm_c, identity)):
+        raise SolverError("bordered bulk factorization reordered the trace",
+                          [("direct", "perm_r or perm_c is not the identity")])
+
+    nI = len(interior)
+    U = lu.U[nI:, nI:].toarray()  # the getter copies the whole factor
+    S = np.zeros((len(trace), len(trace)))
+    S_GG = U.T @ (U / np.diag(U)[:, None])
+    # the upper triangle mirrored, so that S is exactly symmetric
+    S[1:, 1:] = np.triu(S_GG) + np.triu(S_GG, 1).T
+    S.flags.writeable = False
 
     load = _bulk_load(m)
-    u = lu.solve(load[interior])
-    S = A[trace][:, trace].toarray()
-    for j in range(0, len(trace), _SCHUR_BLOCK):
-        block = slice(j, j + _SCHUR_BLOCK)
-        S[:, block] -= A_GI @ lu.solve(A_IG[:, block].toarray())
-    S.flags.writeable = False
+    w = lu.solve(load[order])
+    w_G = np.concatenate([[0.0], w[nI:]])
+    r = S @ w_G
     return BulkCondensation(
         mesh=m, k_p=float(k_p), trace=trace, position=position,
-        interior=interior, lu=lu, A_IG=A_IG.tocsr(), S=S,
-        r=load[trace] - A_GI @ u, load_G=load[trace], load_I=load[interior],
-        mIu=float(load[interior] @ u), area=float(_tri_geometry(m)[0].sum()))
+        interior=interior, lu=lu, S=S, r=r, load_G=load[trace],
+        load_I=load[interior],
+        mIu=float(load[interior] @ w[:nI] + (load[trace] - r) @ w_G),
+        area=float(_tri_geometry(m)[0].sum()))
 
 
 def solve_pss(m: Mesh, p: FlowParams, Q: float, tol: float = 1e-9,
@@ -354,13 +382,22 @@ def solve_pss(m: Mesh, p: FlowParams, Q: float, tol: float = 1e-9,
     norm_b = max(abs(q) * float(np.sqrt(c.load_I @ c.load_I + line.load @ line.load)),
                  1e-300)
 
+    # residual(z) and the next solve_frozen(z) see the same iterate object,
+    # so each Picard step evaluates the mobility once
+    last = {}
+
+    def mobility(z):
+        if last.get("z") is not z:
+            gx = line.gradients(z)
+            last.update(z=z, gx=gx, coef=h * fbeta_iso(np.abs(gx), p))
+        return last["gx"], last["coef"]
+
     def solve_frozen(z):
-        gx = line.gradients(z)
-        return c.solve(c.operator(line, h * fbeta_iso(np.abs(gx), p)), b)
+        return c.solve(c.operator(line, mobility(z)[1]), b)
 
     def residual(z):
-        gx = line.gradients(z)
-        r = c.S @ z + line.flux(h * fbeta_iso(np.abs(gx), p) * gx) - b
+        gx, coef = mobility(z)
+        r = c.S @ z + line.flux(coef * gx) - b
         r[0] = 0.0
         return float(np.linalg.norm(r)) / norm_b
 

@@ -7,7 +7,7 @@ cells of one sweep share a single node set (only the fracture tagging
 differs), so comparisons across the table see no mesh-induced noise from
 the discrete point well.  The shared node set also means one bulk
 condensation over the union of the fracture nodes serves the baseline
-and every cell: a sweep factorizes the bulk once.
+and every cell: a sweep condenses the bulk once.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ from fracflow import (
     DomainSpec,
     FlowParams,
     LinearSystem,
+    SolverError,
     baseline_pdd,
     build_reservoir_mesh,
     build_reservoir_mesh_family,
@@ -112,6 +113,41 @@ def test_condensed_solve_matches_sparse_reference(meshes, shape, beta, Q):
     check_step_response(m, p)
 
 
+@pytest.mark.parametrize("shape", sorted(SPECS))
+def test_schur_complement_matches_dense_reference(meshes, shape):
+    m = meshes[shape]
+    c = condense_bulk(m, 1.0)
+    A = _bulk_stiffness(m, 1.0).toarray()
+    G = c.trace[1:]  # the well is pinned
+    I = np.setdiff1d(np.arange(m.num_nodes), c.trace)
+    ref = A[np.ix_(G, G)] - A[np.ix_(G, I)] @ np.linalg.solve(A[np.ix_(I, I)],
+                                                             A[np.ix_(I, G)])
+    assert np.abs(c.S[1:, 1:] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(c.S, c.S.T)
+    assert not c.S[0].any()
+
+
+def test_pivoted_bordered_factor_rejected(meshes, monkeypatch):
+    # S is the trailing block only if the factor kept the given order
+    original = fracflow.solvers.splu
+
+    class Pivoted:
+        def __init__(self, lu):
+            self.lu = lu
+            self.perm_r = lu.perm_r[::-1]
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    def pivoting(A, permc_spec=None, **kwargs):
+        lu = original(A, permc_spec=permc_spec, **kwargs)
+        return Pivoted(lu) if permc_spec == "NATURAL" else lu
+
+    monkeypatch.setattr(fracflow.solvers, "splu", pivoting)
+    with pytest.raises(SolverError, match="reordered the trace"):
+        condense_bulk(meshes["rectangle"], 1.0)
+
+
 def test_fracture_tip_on_outer_boundary(meshes):
     m = meshes["tip_on_boundary"]
     tip = m.nodes[m.fracture_edges[-1, 1]]
@@ -186,25 +222,38 @@ def factorizations(monkeypatch):
 
 
 class TestFactorizationCounts:
-    """One sparse factorization per node set, whatever the iteration counts."""
+    """As many sparse factorizations as one condensation of the node set
+    makes (the ordering and the bordered factor), whatever the cell and
+    iteration counts."""
 
     SPEC = DomainSpec(shape="rectangle", fracture_length=12.0, width=40.0,
                       height=32.0, aperture=1.0, resolution=2.0, grading=1.3)
 
-    def test_sweep_factorizes_once(self, factorizations):
+    @pytest.fixture
+    def per_condensation(self, factorizations):
+        condense_bulk(build_reservoir_mesh(self.SPEC), 1.0)
+        n = len(factorizations)
+        factorizations.clear()
+        assert n == 2
+        return n
+
+    def test_sweep_factorizes_as_one_condensation(self, factorizations,
+                                                  per_condensation):
         t = run_sweep(self.SPEC, [4.0, 8.0, 12.0], [1e-5, 1e-3, 1e-1], 1000.0,
                       FlowParams(alpha_f=ALPHA))
         assert not t.failed and t.outer_iterations.sum() > 9
-        assert len(factorizations) == 1
+        assert len(factorizations) == per_condensation
 
-    def test_setpoint_factorizes_once(self, factorizations):
+    def test_setpoint_factorizes_as_one_condensation(self, factorizations,
+                                                     per_condensation):
         m = build_reservoir_mesh(self.SPEC)
         res = solve_setpoint(m, FlowParams(alpha_f=ALPHA, beta=1e-2), 100.0)
         assert res.outer_iterations > 1
-        assert len(factorizations) == 1
+        assert len(factorizations) == per_condensation
 
-    def test_pss_factorizes_once(self, factorizations):
+    def test_pss_factorizes_as_one_condensation(self, factorizations,
+                                                per_condensation):
         m = build_reservoir_mesh(self.SPEC)
         _, rep = solve_pss(m, FlowParams(alpha_f=ALPHA, beta=1e-1), 1000.0)
         assert rep.iterations > 1
-        assert len(factorizations) == 1
+        assert len(factorizations) == per_condensation

@@ -5,9 +5,11 @@ import pytest
 
 from fracflow import (
     ConfigError,
+    DomainSpec,
     ReductionReport,
     SweepTable,
     build_fracture_slab_mesh,
+    build_reservoir_mesh,
     parse_config,
     read_sweep_csv,
     write_csv,
@@ -191,6 +193,29 @@ class TestVtk:
         m = build_fracture_slab_mesh(1.0, 0.1, 2, 2)
         with pytest.raises(ValueError):
             write_field_vtk(m, np.zeros(5), tmp_path / "bad.vtk")
+
+    def test_field_bytes_match_the_row_by_row_writer(self, tmp_path):
+        m = build_reservoir_mesh(DomainSpec(
+            shape="disk", fracture_length=3.0, radius=5.0, resolution=1.0))
+        values = np.random.default_rng(0).normal(size=m.num_nodes) * 10.0 ** np.arange(
+            -150, 150, 300 / m.num_nodes)[:m.num_nodes]
+        # reference: the writer iterating over NumPy rows and scalars
+        lines = ["# vtk DataFile Version 3.0", "fracflow pressure field", "ASCII",
+                 "DATASET UNSTRUCTURED_GRID", f"POINTS {m.num_nodes} double"]
+        for x, y in m.nodes:
+            lines.append(f"{x:.10g} {y:.10g} 0")
+        nt = m.num_triangles
+        lines.append(f"CELLS {nt} {4 * nt}")
+        for a, b, c in m.triangles:
+            lines.append(f"3 {a} {b} {c}")
+        lines.append(f"CELL_TYPES {nt}")
+        lines.extend(["5"] * nt)
+        lines += [f"POINT_DATA {m.num_nodes}", "SCALARS pressure double 1",
+                  "LOOKUP_TABLE default"]
+        lines.extend(f"{v:.10g}" for v in values)
+        path = tmp_path / "field.vtk"
+        write_field_vtk(m, values, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_mesh_dump(self, tmp_path):
         m = build_fracture_slab_mesh(1.0, 0.1, 3, 2)

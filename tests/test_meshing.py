@@ -192,3 +192,41 @@ class TestMeshFamily:
         spec = rect_spec(width=40.0, height=30.0, resolution=3.0)
         with pytest.raises(GeometryError):
             build_reservoir_mesh_family(spec, [1.0, 8.0])
+
+
+@pytest.mark.parametrize("tags", ["reservoir", "slab"])
+def test_grid_arrays_match_the_cell_loop(tags):
+    from fracflow.meshing import _grid_mesh
+    xs = np.cumsum(1.3 ** np.arange(6)) - 4.0   # graded lines
+    ys = np.cumsum(1.2 ** np.arange(4)) - 2.0
+    nodes, triangles, _, boundary = _grid_mesh(xs, ys, tags=tags)
+    nx, ny = len(xs), len(ys)
+
+    def nid(iy, ix):
+        return iy * nx + ix
+
+    # reference: the triangles and boundary edges built cell by cell
+    tris = []
+    for iy in range(ny - 1):
+        for ix in range(nx - 1):
+            n00, n10 = nid(iy, ix), nid(iy, ix + 1)
+            n01, n11 = nid(iy + 1, ix), nid(iy + 1, ix + 1)
+            tris.append((n00, n10, n11))
+            tris.append((n00, n11, n01))
+    bottom = [(nid(0, ix), nid(0, ix + 1)) for ix in range(nx - 1)]
+    top = [(nid(ny - 1, ix), nid(ny - 1, ix + 1)) for ix in range(nx - 1)]
+    left = [(nid(iy, 0), nid(iy + 1, 0)) for iy in range(ny - 1)]
+    right = [(nid(iy, nx - 1), nid(iy + 1, nx - 1)) for iy in range(ny - 1)]
+    if tags == "slab":
+        expected = {"frac_minus": bottom, "frac_plus": top, "well": left,
+                    "frac_out": right}
+    else:
+        expected = {"outer": bottom + top + left + right}
+
+    assert nodes.shape == (nx * ny, 2)
+    assert triangles.dtype == np.array(tris).dtype
+    assert np.array_equal(triangles, np.array(tris, dtype=int))
+    assert sorted(boundary) == sorted(expected)
+    for tag, edges in expected.items():
+        assert boundary[tag].dtype == np.array(edges).dtype
+        assert np.array_equal(boundary[tag], np.array(edges, dtype=int))

@@ -135,6 +135,22 @@ class TestSolvePss:
         slack = 1e-6 * np.abs(e[2:-1])
         assert np.all(e[3:] <= e[2:-1] + slack)
 
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_mobility_evaluated_once_per_step(self, rect_mesh, monkeypatch, theta):
+        import fracflow.solvers
+        calls = []
+        original = fracflow.solvers.fbeta_iso
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fracflow.solvers, "fbeta_iso", counting)
+        _, rep = solve_pss(rect_mesh, FlowParams(alpha_f=0.05, beta=0.1), 1000.0,
+                           theta=theta)
+        assert rep.iterations > 1
+        assert len(calls) == rep.iterations + 1
+
     def test_iteration_budget_enforced(self, rect_mesh):
         p = FlowParams(alpha_f=0.01, beta=1.0)
         with pytest.raises(SolverError) as err:
