@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 # Inverse problem: which production rate sustains a prescribed drawdown?
-# One linear step response turns this into a scalar fixed point on the
-# rate; each outer step costs one nonlinear solve plus one linear solve.
+# The drawdown grows strictly with the rate, so this is a scalar root find:
+# one linear step response gives the first rate, then regula falsi steps
+# stay inside a bracket on the rate; each outer step costs one nonlinear
+# solve.
 
 from fracflow import (
     DomainSpec,

@@ -8,8 +8,9 @@
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 trend or error-bound check failure (sweep/validate).
 
-A sweep solves its cells serially on one bulk condensation; a config
-that still sets "threads" is rejected as an unknown key (exit 2).
+solver.tol and solver.max_picard bound every Picard solve of solve,
+inverse and sweep; the retired "threads" and solver.theta are rejected as
+unknown keys (exit 2).  A sweep runs its cells serially.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _cmd_solve(spec: RunSpec, out: Path) -> int:
     mesh = build_reservoir_mesh(spec.domain)
     field, report = solve_pss(
         mesh, spec.params, spec.solve.q, tol=spec.solver.tol,
-        theta=spec.solver.theta, max_iter=spec.solver.max_picard)
+        max_iter=spec.solver.max_picard)
     pdd = output_C(mesh, field)
     _write_json({
         "Q": spec.solve.q,
@@ -68,7 +69,7 @@ def _cmd_inverse(spec: RunSpec, out: Path) -> int:
     result = solve_setpoint(
         mesh, spec.params, target, tol=spec.inverse.tol,
         max_outer=spec.inverse.max_outer, picard_tol=spec.solver.tol,
-        theta=spec.solver.theta, condensation=condensation)
+        max_picard=spec.solver.max_picard, condensation=condensation)
     _write_json({
         "target_PDD": target,
         "Q": result.Q,
@@ -88,7 +89,8 @@ def _cmd_sweep(spec: RunSpec, out: Path) -> int:
         raise ConfigError("sweep.lengths and sweep.betas must be nonempty")
     table = run_sweep(spec.domain, s.lengths, s.betas, s.q_baseline,
                       spec.params, tol=s.tol, max_outer=s.max_outer,
-                      picard_tol=spec.solver.tol)
+                      picard_tol=spec.solver.tol,
+                      max_picard=spec.solver.max_picard)
     write_csv(table, out / "sweep.csv")
     if table.failed:
         print(f"{len(table.failed)} sweep cells failed to converge", file=sys.stderr)

@@ -36,14 +36,11 @@ COMMANDS = ("solve", "inverse", "sweep", "validate")
 @dataclass(frozen=True)
 class SolverSettings:
     tol: float = 1e-9
-    theta: float = 1.0
     max_picard: int = 100
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ConfigError("solver.tol must be > 0")
-        if not 0 < self.theta <= 1:
-            raise ConfigError("solver.theta must be in (0, 1]")
         if self.max_picard < 1:
             raise ConfigError("solver.max_picard must be >= 1")
 
@@ -134,7 +131,7 @@ _SECTION_FIELDS = {
     "domain": ("shape", "fracture_length", "width", "height", "radius",
                "aperture", "well", "resolution", "grading"),
     "params": ("alpha_f", "beta", "k_p", "k_f", "aniso_k"),
-    "solver": ("tol", "theta", "max_picard"),
+    "solver": ("tol", "max_picard"),
     "solve": ("q",),
     "inverse": ("target_pdd", "q_baseline", "tol", "max_outer"),
     "sweep": ("lengths", "betas", "q_baseline", "tol", "max_outer"),

@@ -4,18 +4,19 @@ The coupled model is a single-input single-output system
 
     A z + F(z) + B_in Q = 0,      pdd = C(z),
 
-linear in the rate Q.  One linear step response X (A X = -B_in, gain
-G = C(X)) turns the inverse problem into a fixed point for Q: solve the
-nonlinear state at the current rate, solve the linear correction
-A zt = -F(z), and update Q = (target - C(zt)) / G.  At the fixed point
-the achieved drawdown equals the target by construction; with beta = 0
-the correction vanishes and the first rate is already exact.
+linear in the rate Q.  PDD(Q) = C(z(Q)) increases strictly with Q from
+PDD(0) = 0, so PDD(Q) = target has one root, found by a bracketed root
+find with one nonlinear solve per outer step.  One linear step response
+X (A X = -B_in, gain G = C(X)) gives the first rate target / G, exact
+when beta = 0.  Until a rate overshoots, the next one is the secant
+through the origin, Q * target / PDD(Q); then regula falsi steps inside
+the bracket, with the Illinois modification (Dowell & Jarratt, BIT 11,
+1971): the stored residual of an end kept twice in a row is halved.
 
 Every solve here runs on the bulk condensed onto the fracture trace
-(`fracflow.solvers.condense_bulk`): F lives on the trace, so the
-correction zt needs no interior load, and C follows from the trace
-values alone.  A set-point solve condenses the bulk once, or not at all
-when the caller passes the condensation of its node set.
+(`fracflow.solvers.condense_bulk`), and C follows from the trace values
+alone.  A set-point solve condenses the bulk once, or not at all when
+the caller passes the condensation of its node set.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .assembly import ScalarField
 from .errors import ControlError
-from .kernels import FlowParams, fbeta_iso
+from .kernels import FlowParams
 from .meshing import Mesh
 from .solvers import BulkCondensation, condense_bulk, solve_pss
 
@@ -77,14 +78,16 @@ def step_response(m: Mesh, p: FlowParams, aperture: float | None = None, *,
 
 def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
                    tol: float = 1e-6, max_outer: int = 50,
-                   picard_tol: float = 1e-9, theta: float = 1.0,
+                   picard_tol: float = 1e-9, max_picard: int = 100,
                    aperture: float | None = None, *,
                    condensation: BulkCondensation | None = None) -> SetpointResult:
     """Find Q such that the pseudo-steady drawdown equals target_pdd.
 
     Pass the `condensation` of m's node set to share one bulk
-    condensation between calls.  Raises ControlError with the (Q, PDD)
-    history if max_outer is exhausted before |PDD - target| <= tol * target.
+    condensation between calls.  picard_tol and max_picard bound each
+    inner solve (SolverError when that budget is spent).  Raises
+    ControlError with the (Q, PDD) history if max_outer is exhausted
+    before |PDD - target| <= tol * target.
     """
     if not (np.isfinite(target_pdd) and target_pdd > 0):
         raise ValueError(f"target_pdd must be positive and finite, got {target_pdd}")
@@ -98,34 +101,34 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
     q1 = 1.0 / line.volume
     G = c.output(line, c.solve(A_lin, q1 * line.weights), q1)
 
-    # The raw update Q <- (target - C zt)/G contracts only while the
-    # nonlinear drawdown slope stays below twice the linear gain G;
-    # relaxing the step restores convergence for strongly nonlinear
-    # cells without touching the benign path (omega starts at 1).
+    # f(Q) = PDD - target on the bracket [lo, hi]; side is the end moved last
     Q = target_pdd / G
-    omega = 1.0
-    prev_err = np.inf
+    lo, f_lo, hi, f_hi = 0.0, -target_pdd, np.inf, np.inf
+    side = 0
     history: list[tuple[float, float]] = []
     for k in range(1, max_outer + 1):
-        z, _ = solve_pss(m, p, Q, tol=picard_tol, theta=theta, aperture=aperture,
-                         condensation=c)
-        zg = z.values[c.trace]
-        pdd = c.output(line, zg, Q / line.volume)
+        z, _ = solve_pss(m, p, Q, tol=picard_tol, max_iter=max_picard,
+                         aperture=aperture, condensation=c)
+        pdd = c.output(line, z.values[c.trace], Q / line.volume)
         history.append((Q, pdd))
-        err = abs(pdd - target_pdd)
-        if err <= tol * target_pdd:
+        f = pdd - target_pdd
+        if abs(f) <= tol * target_pdd:
             return SetpointResult(Q, pdd, Q / pdd, k, history, z)
-        if err >= prev_err:
-            omega = max(omega / 2.0, 1.0 / 64.0)
+        if f < 0:
+            lo, f_lo = Q, f
+            if side < 0:
+                f_hi /= 2.0
+            side = -1
         else:
-            omega = min(1.0, omega * 1.25)
-        prev_err = err
-        gx = line.gradients(zg)
-        Fz = line.flux(h * (fbeta_iso(np.abs(gx), p) - p.k_f) * gx)
-        zt = c.solve(A_lin, -Fz)
-        Q_raw = (target_pdd - c.output(line, zt, 0.0)) / G
-        Q = Q + omega * (Q_raw - Q)
+            hi, f_hi = Q, f
+            if side > 0:
+                f_lo /= 2.0
+            side = 1
+        if hi == np.inf:
+            Q = Q * target_pdd / pdd
+        else:
+            Q = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
     raise ControlError(
         f"set-point iteration did not reach the target drawdown in {max_outer} steps "
-        f"(last relative error {err / target_pdd:g}, relaxation {omega:g})",
+        f"(last relative error {abs(f) / target_pdd:g}, bracket [{lo:g}, {hi:g}])",
         history)

@@ -71,7 +71,7 @@ class TrendDiagnostics:
 
 def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
               p: FlowParams, tol: float = 1e-6, max_outer: int = 50,
-              picard_tol: float = 1e-9) -> SweepTable:
+              picard_tol: float = 1e-9, max_picard: int = 100) -> SweepTable:
     """Tabulate J(L, beta) at the drawdown of the unfractured baseline.
 
     A cell whose set-point solve fails is recorded and skipped; the
@@ -99,6 +99,7 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
             try:
                 res = solve_setpoint(mesh, params, pdd_star, tol=tol,
                                      max_outer=max_outer, picard_tol=picard_tol,
+                                     max_picard=max_picard,
                                      condensation=condensation)
             except (ControlError, SolverError) as exc:
                 failed.append((i, j, str(exc)))
@@ -125,6 +126,7 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
         "setpoint_tol": tol,
         "max_outer": max_outer,
         "picard_tol": picard_tol,
+        "max_picard": max_picard,
         "failed_cells": len(failed),
     }
     return SweepTable(Ls, betas, J, Q, iters, failed, meta)

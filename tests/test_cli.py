@@ -110,6 +110,27 @@ def test_threads_key_exits_2(tmp_path, capsys):
     assert "unknown key 'threads'" in capsys.readouterr().err
 
 
+def test_theta_key_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "command": "solve", "domain": DOMAIN, "params": PARAMS,
+        "solver": {"theta": 0.5}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'theta'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section", [
+    ("inverse", {"inverse": {"q_baseline": 1000.0}}),
+    ("sweep", {"sweep": {"lengths": [4.0, 8.0], "betas": [1e-3]}}),
+])
+def test_max_picard_reaches_the_setpoint(tmp_path, capsys, command, section):
+    # beta > 0 needs more than one Picard step, so a budget of 1 must fail
+    cfg = write_cfg(tmp_path, dict({
+        "command": command, "domain": DOMAIN, "params": PARAMS,
+        "solver": {"max_picard": 1}}, **section))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err
+
+
 def test_threads_flag_rejected_by_argparse(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "sweep", "domain": DOMAIN, "params": PARAMS,

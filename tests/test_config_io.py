@@ -36,7 +36,6 @@ def write_json(tmp_path, data, name="cfg.json"):
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         spec = parse_config(write_json(tmp_path, MINIMAL))
-        assert spec.solver.theta == 1.0
         assert spec.solver.tol == 1e-9
         assert spec.params.k_f == 1.0 / spec.params.alpha_f
         assert spec.domain.grading == 1.3
@@ -46,6 +45,11 @@ class TestParseConfig:
         # a sweep runs serially; the retired thread count is an unknown key
         with pytest.raises(ConfigError, match="unknown key 'threads'"):
             parse_config_data(dict(MINIMAL, threads=1))
+
+    def test_theta_key_rejected(self):
+        # Picard damping is automatic; the retired damping knob is an unknown key
+        with pytest.raises(ConfigError, match="unknown key 'theta' in section 'solver'"):
+            parse_config_data(dict(MINIMAL, solver={"theta": 0.5}))
 
     def test_negative_beta_named(self, tmp_path):
         bad = dict(MINIMAL, params={"beta": -1.0})

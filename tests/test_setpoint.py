@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracflow import (
     ControlError,
@@ -6,9 +9,16 @@ from fracflow import (
     FlowParams,
     baseline_pdd,
     build_reservoir_mesh,
+    build_reservoir_mesh_family,
+    condense_bulk,
+    solve_pss,
     solve_setpoint,
     step_response,
 )
+from fracflow.assembly import output_C
+
+ALPHA = 0.05
+LENGTHS = (4.0, 10.0, 20.0)
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +26,15 @@ def rect_mesh():
     spec = DomainSpec(shape="rectangle", fracture_length=10.0, width=60.0,
                       height=48.0, aperture=1.0, resolution=2.0, grading=1.3)
     return build_reservoir_mesh(spec)
+
+
+@pytest.fixture(scope="module")
+def family():
+    """Meshes of LENGTHS on one node set, with their shared condensation."""
+    spec = DomainSpec(shape="rectangle", fracture_length=20.0, width=60.0,
+                      height=48.0, aperture=1.0, resolution=2.0, grading=1.3)
+    meshes = build_reservoir_mesh_family(spec, LENGTHS)
+    return meshes, condense_bulk(meshes, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +123,71 @@ class TestSetpoint:
     def test_invalid_target_rejected(self, rect_mesh):
         with pytest.raises(ValueError):
             solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), -5.0)
+
+    def test_zero_aperture_is_linear(self, rect_mesh):
+        # no fracture term: one step, and the capacity of the bare reservoir
+        p = FlowParams(alpha_f=ALPHA, beta=1.0)
+        res = solve_setpoint(rect_mesh, p, 500.0, aperture=0.0)
+        assert res.outer_iterations == 1
+        assert res.PDD == pytest.approx(baseline_pdd(rect_mesh, p, res.Q), rel=1e-12)
+
+    @pytest.mark.parametrize("k_f", [None, 5.0, 100.0])
+    def test_strong_drag_converges_in_few_steps(self, family, k_f):
+        meshes, c = family
+        m = meshes[LENGTHS.index(20.0)]
+        target = baseline_pdd(m, FlowParams(alpha_f=ALPHA), 1000.0, condensation=c)
+        for beta in (0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+            res = solve_setpoint(m, FlowParams(alpha_f=ALPHA, beta=beta, k_f=k_f),
+                                 target, condensation=c)
+            assert res.outer_iterations <= 6, (beta, res.history)
+
+
+betas = st.one_of(st.just(0.0), st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e))
+k_fs = st.sampled_from([None, 5.0, 100.0])
+lengths = st.sampled_from(range(len(LENGTHS)))
+
+
+def outer_steps_in_bracket(history, target):
+    """True if every iterate after the first rate above the target lies
+    strictly inside the bracket of the rates before it."""
+    lo, hi = 0.0, np.inf
+    for Q, pdd in history:
+        if np.isfinite(hi) and not lo < Q < hi:
+            return False
+        if pdd < target:
+            lo = max(lo, Q)
+        else:
+            hi = min(hi, Q)
+    return True
+
+
+class TestSetpointProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(beta=betas, j=lengths, log_target=st.floats(-2.0, 5.0), k_f=k_fs)
+    def test_converges_inside_the_bracket(self, family, beta, j, log_target, k_f):
+        meshes, c = family
+        target = 10.0 ** log_target
+        res = solve_setpoint(meshes[j], FlowParams(alpha_f=ALPHA, beta=beta, k_f=k_f),
+                             target, condensation=c)
+        assert res.outer_iterations <= 8
+        assert abs(res.PDD - target) <= 1e-6 * target
+        assert outer_steps_in_bracket(res.history, target), res.history
+
+    @settings(max_examples=25, deadline=None)
+    @given(beta=betas, j=lengths, k_f=k_fs)
+    def test_drawdown_increases_with_rate(self, family, beta, j, k_f):
+        meshes, c = family
+        p = FlowParams(alpha_f=ALPHA, beta=beta, k_f=k_f)
+        pdd = [output_C(meshes[j], solve_pss(meshes[j], p, Q, condensation=c)[0])
+               for Q in np.logspace(0.0, 5.0, 9)]
+        assert np.all(np.diff(pdd) > 0), pdd
+
+    @settings(max_examples=25, deadline=None)
+    @given(b1=betas, b2=betas, j=lengths, log_target=st.floats(0.0, 4.0), k_f=k_fs)
+    def test_capacity_falls_with_drag(self, family, b1, b2, j, log_target, k_f):
+        meshes, c = family
+        lo, hi = sorted((b1, b2))
+        J = [solve_setpoint(meshes[j], FlowParams(alpha_f=ALPHA, beta=b, k_f=k_f),
+                            10.0 ** log_target, condensation=c).J_p for b in (lo, hi)]
+        # each J is exact to the set-point tolerance of 1e-6
+        assert J[1] <= J[0] * (1.0 + 4e-6)

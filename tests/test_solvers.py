@@ -135,8 +135,7 @@ class TestSolvePss:
         slack = 1e-6 * np.abs(e[2:-1])
         assert np.all(e[3:] <= e[2:-1] + slack)
 
-    @pytest.mark.parametrize("theta", [1.0, 0.5])
-    def test_mobility_evaluated_once_per_step(self, rect_mesh, monkeypatch, theta):
+    def test_mobility_evaluated_once_per_step(self, rect_mesh, monkeypatch):
         import fracflow.solvers
         calls = []
         original = fracflow.solvers.fbeta_iso
@@ -146,8 +145,7 @@ class TestSolvePss:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(fracflow.solvers, "fbeta_iso", counting)
-        _, rep = solve_pss(rect_mesh, FlowParams(alpha_f=0.05, beta=0.1), 1000.0,
-                           theta=theta)
+        _, rep = solve_pss(rect_mesh, FlowParams(alpha_f=0.05, beta=0.1), 1000.0)
         assert rep.iterations > 1
         assert len(calls) == rep.iterations + 1
 
