@@ -18,6 +18,9 @@ Operator conventions, with basis functions phi_i and aperture h:
 
 so the coupled production problem reads  A z + F(z) + B_in Q = 0  with the
 well node pinned to zero.
+
+The full slab problem is ``slab_frozen_matrix`` against ``slab_rhs``; its
+1-D reduction is solved on its line by `fracflow.solvers.solve_slab`.
 """
 
 from __future__ import annotations
@@ -285,52 +288,16 @@ def _edge_load(m: Mesh, edges: np.ndarray, q) -> np.ndarray:
     return load
 
 
-def _lumped_tensor_load(m: Mesh, source) -> np.ndarray:
-    """Volume load int s phi_i by tensor-product lumped quadrature.
-
-    Valid on tensor-product meshes (the slab meshes are).  The nodal
-    weight is the product of the 1-D trapezoid weights in x and y, which
-    makes the load of an x-only source exactly proportional to the row
-    weight; together with the row-consistent stiffness of the structured
-    split this keeps the reduced slab solution y-independent to rounding,
-    not just to discretization error.
-    """
-    xs = np.unique(m.nodes[:, 0])
-    ys = np.unique(m.nodes[:, 1])
-    wx = np.zeros(len(xs))
-    wx[:-1] += np.diff(xs) / 2.0
-    wx[1:] += np.diff(xs) / 2.0
-    wy = np.zeros(len(ys))
-    wy[:-1] += np.diff(ys) / 2.0
-    wy[1:] += np.diff(ys) / 2.0
-    ix = np.searchsorted(xs, m.nodes[:, 0])
-    iy = np.searchsorted(ys, m.nodes[:, 1])
-    w = wx[ix] * wy[iy]
-    if np.isscalar(source):
-        return w * float(source)
-    s = np.asarray([source(x, y) for x, y in m.nodes])
-    return w * s
-
-
 def dirichlet_nodes(m: Mesh, tag: str = TAG_WELL) -> np.ndarray:
     return np.unique(m.boundary_edges[tag].ravel())
 
 
-def slab_rhs(m: Mesh, q_plus, q_minus, q_over_v: float, reduced: bool) -> np.ndarray:
-    """Load vector of the slab weak form.
-
-    Full problem: volume source q_over_v plus the inflow data q+- entering
-    as Neumann terms (with their sign, -f grad W . n = q, they subtract
-    from the load).  Reduced problem: the boundary data moves into the
-    volume source q_over_v - (q+(x) + q-(x))/h and the lateral boundary
-    becomes no-flow.
-    """
-    h = m.aperture
-    if reduced:
-        def src(x, y):
-            return q_over_v - (q_plus(x) + q_minus(x)) / h
-        return _lumped_tensor_load(m, src)
-    load = _lumped_tensor_load(m, float(q_over_v))
+def slab_rhs(m: Mesh, q_plus, q_minus, q_over_v: float) -> np.ndarray:
+    """Load vector of the full slab weak form: the volume source q_over_v
+    plus the inflow data q+- entering as Neumann terms (with their sign,
+    -f grad W . n = q, they subtract from the load).  The reduced slab is
+    solved on its line (`fracflow.solvers.solve_slab`)."""
+    load = _bulk_load(m) * q_over_v
     load -= _edge_load(m, m.boundary_edges[TAG_FRAC_PLUS], q_plus)
     load -= _edge_load(m, m.boundary_edges[TAG_FRAC_MINUS], q_minus)
     return load
@@ -342,17 +309,15 @@ def slab_frozen_matrix(m: Mesh, p: FlowParams, W, flavor: str) -> sparse.csr_mat
 
 
 def assemble_slab_residual(m: Mesh, p: FlowParams, W, flavor: str,
-                           q_plus, q_minus, q_over_v: float,
-                           reduced: bool = False) -> np.ndarray:
-    """Residual of the nonlinear slab weak form at the state W.
+                           q_plus, q_minus, q_over_v: float) -> np.ndarray:
+    """Residual of the nonlinear full slab weak form at the state W.
 
     Rows of nodes on the pressure-pinned boundary report W - 0 instead,
     so the residual of an exact discrete solution vanishes identically.
     """
-    _check_slab(m, flavor)
     w = _values(W)
     K = slab_frozen_matrix(m, p, W, flavor)
-    r = K @ w - slab_rhs(m, q_plus, q_minus, q_over_v, reduced)
+    r = K @ w - slab_rhs(m, q_plus, q_minus, q_over_v)
     fixed = dirichlet_nodes(m)
     r[fixed] = w[fixed]
     return r

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import ConfigError, GeometryError
 from .kernels import FlowParams
@@ -49,6 +49,10 @@ class SolverSettings:
 class SolveSettings:
     q: float = 1000.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.q):
+            raise ConfigError("solve.q must be finite")
+
 
 @dataclass(frozen=True)
 class InverseSettings:
@@ -58,8 +62,11 @@ class InverseSettings:
     max_outer: int = 50
 
     def __post_init__(self):
-        if self.target_pdd is not None and not self.target_pdd > 0:
-            raise ConfigError("inverse.target_pdd must be > 0")
+        if self.target_pdd is not None and not (math.isfinite(self.target_pdd)
+                                                and self.target_pdd > 0):
+            raise ConfigError("inverse.target_pdd must be finite and > 0")
+        if not (math.isfinite(self.q_baseline) and self.q_baseline > 0):
+            raise ConfigError("inverse.q_baseline must be finite and > 0")
         if not self.tol > 0:
             raise ConfigError("inverse.tol must be > 0")
         if self.max_outer < 1:
@@ -79,6 +86,8 @@ class SweepSettings:
             raise ConfigError("sweep.lengths must all be finite and > 0")
         if not all(math.isfinite(b) and b >= 0 for b in self.betas):
             raise ConfigError("sweep.betas must all be finite and >= 0")
+        if not (math.isfinite(self.q_baseline) and self.q_baseline > 0):
+            raise ConfigError("sweep.q_baseline must be finite and > 0")
         if not self.tol > 0:
             raise ConfigError("sweep.tol must be > 0")
         if self.max_outer < 1:
@@ -101,6 +110,13 @@ class ValidateSettings:
             raise ConfigError("validate.apertures must be nonempty")
         if self.flavor == "isotropic" and not self.scalings:
             raise ConfigError("validate.scalings must be nonempty for the isotropic flavor")
+        if not all(math.isfinite(s) and s > 0 for s in self.scalings):
+            raise ConfigError("validate.scalings must all be finite and > 0")
+        if not math.isfinite(self.q0):
+            raise ConfigError("validate.q0 must be finite")
+        if self.resolution is not None and not (math.isfinite(self.resolution)
+                                                and self.resolution > 0):
+            raise ConfigError("validate.resolution must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -125,19 +141,10 @@ class RunSpec:
         if self.command not in COMMANDS:
             raise ConfigError(
                 f"command must be one of {', '.join(COMMANDS)}; got {self.command!r}")
+        if (self.command == "validate" and self.validate.flavor == "anisotropic"
+                and not self.params.beta > 0):
+            raise ConfigError("validate with the anisotropic flavor requires params.beta > 0")
 
-
-_SECTION_FIELDS = {
-    "domain": ("shape", "fracture_length", "width", "height", "radius",
-               "aperture", "well", "resolution", "grading"),
-    "params": ("alpha_f", "beta", "k_p", "k_f", "aniso_k"),
-    "solver": ("tol", "max_picard"),
-    "solve": ("q",),
-    "inverse": ("target_pdd", "q_baseline", "tol", "max_outer"),
-    "sweep": ("lengths", "betas", "q_baseline", "tol", "max_outer"),
-    "validate": ("flavor", "apertures", "q0", "q_over_v", "resolution", "scalings"),
-    "output": ("dir", "write_vtk"),
-}
 
 _SECTION_TYPES = {
     "domain": DomainSpec,
@@ -154,7 +161,7 @@ _SECTION_TYPES = {
 def _build_section(name: str, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    allowed = _SECTION_FIELDS[name]
+    allowed = [f.name for f in fields(_SECTION_TYPES[name])]
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in section '{name}'")
@@ -174,7 +181,7 @@ def parse_config_data(data: dict) -> RunSpec:
     """Validate an already-decoded configuration object."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be an object")
-    allowed = ("command",) + tuple(_SECTION_FIELDS)
+    allowed = ("command",) + tuple(_SECTION_TYPES)
     for key in data:
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}'")
@@ -183,7 +190,7 @@ def parse_config_data(data: dict) -> RunSpec:
     if "domain" not in data:
         raise ConfigError("missing required key 'domain'")
     kwargs = {"command": data["command"]}
-    for name in _SECTION_FIELDS:
+    for name in _SECTION_TYPES:
         if name in data:
             kwargs[name] = _build_section(name, data[name])
     return RunSpec(**kwargs)

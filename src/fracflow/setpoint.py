@@ -29,7 +29,7 @@ from .assembly import ScalarField
 from .errors import ControlError
 from .kernels import FlowParams
 from .meshing import Mesh
-from .solvers import BulkCondensation, condense_bulk, solve_pss
+from .solvers import BulkCondensation, _pinned_solve, condense_bulk, solve_pss
 
 __all__ = ["SetpointResult", "baseline_pdd", "step_response", "solve_setpoint"]
 
@@ -61,7 +61,7 @@ def baseline_pdd(m: Mesh, p: FlowParams, Q: float, *,
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p, 0.0)
     q = Q / line.volume
-    return c.output(line, c.solve(c.S, q * line.weights), q)
+    return c.output(line, _pinned_solve(c.S, q * line.weights), q)
 
 
 def step_response(m: Mesh, p: FlowParams, aperture: float | None = None, *,
@@ -72,7 +72,8 @@ def step_response(m: Mesh, p: FlowParams, aperture: float | None = None, *,
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p, h)
     q = 1.0 / line.volume
-    x = c.solve(c.operator(line, np.full(len(line.ell), h * p.k_f)), q * line.weights)
+    x = _pinned_solve(line.operator(c.S, np.full(len(line.ell), h * p.k_f)),
+                      q * line.weights)
     return c.full_field(m, x, q), c.output(line, x, q)
 
 
@@ -96,10 +97,10 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
     h = m.aperture if aperture is None else aperture
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p, h)
-    A_lin = c.operator(line, np.full(len(line.ell), h * p.k_f))
+    A_lin = line.operator(c.S, np.full(len(line.ell), h * p.k_f))
     # gain of the step response, without rebuilding its nodal field
     q1 = 1.0 / line.volume
-    G = c.output(line, c.solve(A_lin, q1 * line.weights), q1)
+    G = c.output(line, _pinned_solve(A_lin, q1 * line.weights), q1)
 
     # f(Q) = PDD - target on the bracket [lo, hi]; side is the end moved last
     Q = target_pdd / G

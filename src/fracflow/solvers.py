@@ -19,14 +19,16 @@ with that bordered factor gives r and m_I . u.  A mesh family (a sweep)
 shares one node set, so one condensation over the union of its fracture
 nodes serves every cell.
 
-`solve_pss` runs the frozen-coefficient (Picard) iteration on the trace
-alone: each step adds the line stiffness at the current gradient to S and
-solves a dense nG x nG system.  The mobility nonlinearity is monotone, so
-Picard converges without globalization tricks; the step is damped, by
-halving from 1, only if the nonlinear residual grows.  The full nodal
-field is rebuilt with one solve with the bordered factor at the end.
+`_solve_line` runs the frozen-coefficient (Picard) iteration on the 1-D
+Forchheimer line problem: each step adds the line stiffness at the
+current gradient to a dense S and solves with position 0 pinned to zero.
+The mobility nonlinearity is monotone, so Picard converges without
+globalization tricks; the step is damped, by halving from 1, only if the
+nonlinear residual grows.  `solve_pss` runs it on the condensed trace and
+rebuilds the full nodal field with one solve with the bordered factor;
+the reduced slab is the same line problem with S = 0.
 
-The slab problems keep the sparse path: each Picard step reassembles the
+The full slab keeps the sparse path: each Picard step reassembles the
 slab operator and re-solves it by one sparse LU factorization whose
 residual is verified; a solve that fails the check raises SolverError.
 """
@@ -46,6 +48,7 @@ from .assembly import (
     ScalarField,
     _bulk_load,
     _bulk_stiffness,
+    _check_slab,
     _edge_geometry,
     _tri_geometry,
     apply_constraints,
@@ -170,7 +173,8 @@ def _picard(solve_frozen, residual, z0: np.ndarray, tol: float, max_iter: int,
 
 @dataclass(frozen=True)
 class TraceLine:
-    """The fracture line of one mesh at aperture h, on a condensed trace.
+    """The fracture line of one mesh at aperture h, on a condensed trace
+    (or the reduced slab's x nodes, the line of a zero bulk at h = 1).
 
     edges: (k, 2) fracture edges as positions in the trace (none when
         h = 0).
@@ -198,6 +202,68 @@ class TraceLine:
         np.add.at(out, self.edges[:, 0], -coef)
         np.add.at(out, self.edges[:, 1], coef)
         return out
+
+    def operator(self, S: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """S plus the line stiffness (coef_e / ell_e) [[1, -1], [-1, 1]]."""
+        M = S.copy()
+        k = np.asarray(coef, dtype=float) / self.ell
+        i, j = self.edges[:, 0], self.edges[:, 1]
+        np.add.at(M, (i, i), k)
+        np.add.at(M, (j, j), k)
+        np.add.at(M, (i, j), -k)
+        np.add.at(M, (j, i), -k)
+        return M
+
+
+def _pinned_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Dense solve of M z = rhs with position 0 pinned to zero."""
+    z = np.zeros(len(rhs))
+    try:
+        z[1:] = np.linalg.solve(M[1:, 1:], rhs[1:])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"line system is singular: {exc}",
+                          [("dense", str(exc))]) from exc
+    return z
+
+
+def _solve_line(S: np.ndarray, line: TraceLine, h: float, p: FlowParams,
+                b: np.ndarray, norm_b: float, tol: float, max_iter: int,
+                ) -> tuple[np.ndarray, SolveReport]:
+    """Picard solve of the line problem S z + (line flux at mobility
+    h * fbeta_iso(|z_x|)) = b, position 0 pinned to zero; norm_b scales the
+    residual.  The start iterate solves the linear surrogate (h * k_f), so
+    with beta = 0 and the default k_f the loop exits after one iteration.
+    """
+    norm_b = max(norm_b, 1e-300)
+
+    # residual(z) and the next solve_frozen(z) see the same iterate object,
+    # so each Picard step evaluates the mobility once
+    last = {}
+
+    def mobility(z):
+        if last.get("z") is not z:
+            gx = line.gradients(z)
+            last.update(z=z, gx=gx, coef=h * fbeta_iso(np.abs(gx), p))
+        return last["gx"], last["coef"]
+
+    def solve_frozen(z):
+        return _pinned_solve(line.operator(S, mobility(z)[1]), b)
+
+    def residual(z):
+        gx, coef = mobility(z)
+        r = S @ z + line.flux(coef * gx) - b
+        r[0] = 0.0
+        return float(np.linalg.norm(r)) / norm_b
+
+    # the update is measured on the nodes of the line itself, so a trace
+    # larger than the line (a mesh family's) stops at the same step
+    on_line = np.unique(line.edges)
+
+    def norm(v):
+        return np.linalg.norm(v[on_line])
+
+    z0 = _pinned_solve(line.operator(S, np.full(len(line.ell), h * p.k_f)), b)
+    return _picard(solve_frozen, residual, z0, tol, max_iter, norm)
 
 
 def _same_node_set(a: Mesh, b: Mesh) -> bool:
@@ -244,32 +310,10 @@ class BulkCondensation:
         return TraceLine(local, ell, self.r + frac, self.load_G + frac,
                          self.area + h * float(ell.sum()))
 
-    def operator(self, line: TraceLine, coef: np.ndarray) -> np.ndarray:
-        """S plus the line stiffness (coef_e / ell_e) [[1, -1], [-1, 1]]."""
-        M = self.S.copy()
-        k = np.asarray(coef, dtype=float) / line.ell
-        i, j = line.edges[:, 0], line.edges[:, 1]
-        np.add.at(M, (i, i), k)
-        np.add.at(M, (j, j), k)
-        np.add.at(M, (i, j), -k)
-        np.add.at(M, (j, i), -k)
-        return M
-
     def output(self, line: TraceLine, z: np.ndarray, q: float) -> float:
         """Drawdown C of the state with trace values z and interior load
         q * m_I (q = Q / volume; 0 for a state with no interior load)."""
         return (float(line.weights @ z) + q * self.mIu) / line.volume
-
-    @staticmethod
-    def solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Dense solve on the trace with the well (position 0) pinned to zero."""
-        z = np.zeros(len(rhs))
-        try:
-            z[1:] = np.linalg.solve(M[1:, 1:], rhs[1:])
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"condensed trace system is singular: {exc}",
-                              [("dense", str(exc))]) from exc
-        return z
 
     def full_field(self, m: Mesh, z: np.ndarray, q: float) -> ScalarField:
         """Nodal field of trace values z (zero on the well) with interior
@@ -355,51 +399,18 @@ def solve_pss(m: Mesh, p: FlowParams, Q: float, tol: float = 1e-9,
               ) -> tuple[ScalarField, SolveReport]:
     """Pseudo-steady-state solve of the coupled reduced model at rate Q.
 
-    The iteration runs on the condensed trace (built for m unless a
-    `condensation` of its node set is passed).  The start iterate solves
-    the linear surrogate (k_f on the fracture line); each Picard step
-    freezes the line mobility at the previous gradient.  With beta = 0
-    and the default k_f the first step already reproduces the start
-    iterate, so the loop exits after one iteration.
+    The line problem (`_solve_line`) runs on the condensed trace (built
+    for m unless a `condensation` of its node set is passed).
     """
     h = m.aperture if aperture is None else aperture
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p, h)
     q = Q / line.volume
-    b = q * line.weights
     # residual relative to the full uncondensed load, whose interior rows
     # the condensed state satisfies exactly
-    norm_b = max(abs(q) * float(np.sqrt(c.load_I @ c.load_I + line.load @ line.load)),
-                 1e-300)
-
-    # residual(z) and the next solve_frozen(z) see the same iterate object,
-    # so each Picard step evaluates the mobility once
-    last = {}
-
-    def mobility(z):
-        if last.get("z") is not z:
-            gx = line.gradients(z)
-            last.update(z=z, gx=gx, coef=h * fbeta_iso(np.abs(gx), p))
-        return last["gx"], last["coef"]
-
-    def solve_frozen(z):
-        return c.solve(c.operator(line, mobility(z)[1]), b)
-
-    def residual(z):
-        gx, coef = mobility(z)
-        r = c.S @ z + line.flux(coef * gx) - b
-        r[0] = 0.0
-        return float(np.linalg.norm(r)) / norm_b
-
-    # the update is measured on the nodes of m's own fracture line, so a
-    # condensation over a larger trace (a mesh family's) stops at the same step
-    on_line = np.unique(line.edges)
-
-    def norm(v):
-        return np.linalg.norm(v[on_line])
-
-    z0 = c.solve(c.operator(line, np.full(len(line.ell), h * p.k_f)), b)
-    z, report = _picard(solve_frozen, residual, z0, tol, max_iter, norm)
+    norm_b = abs(q) * float(np.sqrt(c.load_I @ c.load_I + line.load @ line.load))
+    z, report = _solve_line(c.S, line, h, p, q * line.weights, norm_b, tol,
+                            max_iter)
     return c.full_field(m, z, q), report
 
 
@@ -410,9 +421,24 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
 
     With ``reduced=True`` the lateral inflow moves into the volumetric
     source q_over_v - (q+(x)+q-(x))/h and the lateral boundary becomes
-    no-flow, which makes the solution independent of y.
+    no-flow, which makes the solution independent of y: it is solved per
+    unit thickness on the slab's x nodes, as the line a zero bulk gives at
+    aperture 1 (trapezoid weights), and extended to the slab by x index.
     """
-    rhs = slab_rhs(m, q_plus, q_minus, float(q_over_v), reduced)
+    _check_slab(m, flavor)
+    if reduced:
+        xs = np.unique(m.nodes[:, 0])
+        dx = np.diff(xs)
+        wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
+        b = wx * np.array([q_over_v - (q_plus(x) + q_minus(x)) / m.aperture
+                           for x in xs])
+        edges = np.column_stack([np.arange(len(dx)), np.arange(1, len(xs))])
+        z, report = _solve_line(np.zeros((len(xs), len(xs))),
+                                TraceLine(edges, dx, wx, wx, float(xs[-1])),
+                                1.0, p, b, float(np.linalg.norm(b)), tol, max_iter)
+        return ScalarField(z[np.searchsorted(xs, m.nodes[:, 0])], m), report
+
+    rhs = slab_rhs(m, q_plus, q_minus, float(q_over_v))
     fixed = dirichlet_nodes(m)
     constraints = [(int(i), 0.0) for i in fixed]
     lin_tol = max(1e-13, min(1e-11, tol * 1e-3))

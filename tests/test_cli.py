@@ -146,7 +146,14 @@ def test_bad_sweep_and_validate_settings_exit_2(tmp_path):
     sweep = {"lengths": [4.0, 8.0], "betas": [1e-3]}
     bad = [("sweep", {"sweep": dict(sweep, max_outer=0)}),
            ("sweep", {"sweep": dict(sweep, betas=[-1e-3])}),
-           ("validate", {"validate": {"flavor": "isotropic", "scalings": []}})]
+           ("validate", {"validate": {"flavor": "isotropic", "scalings": []}}),
+           ("validate", {"validate": {"resolution": 0.0}}),
+           ("validate", {"validate": {"resolution": -1.0}}),
+           ("validate", {"params": dict(PARAMS, beta=0.0)}),
+           ("validate", {"validate": {"q0": float("inf")}}),
+           ("inverse", {"inverse": {"q_baseline": -5.0}}),
+           ("sweep", {"sweep": dict(sweep, q_baseline=0.0)}),
+           ("solve", {"solve": {"q": float("nan")}})]
     for k, (command, section) in enumerate(bad):
         cfg = write_cfg(tmp_path, dict({"command": command, "domain": DOMAIN,
                                         "params": PARAMS}, **section),

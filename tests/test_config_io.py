@@ -92,12 +92,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config_data(dict(MINIMAL, command="sweep", sweep=sweep))
 
+    @pytest.mark.parametrize("command, section, match", [
+        ("validate", {"validate": {"resolution": 0.0}}, "validate.resolution"),
+        ("validate", {"validate": {"resolution": -1.0}}, "validate.resolution"),
+        ("validate", {"validate": {"resolution": float("inf")}}, "validate.resolution"),
+        ("validate", {"validate": {"flavor": "isotropic", "scalings": [1.0, 0.0]}},
+         "validate.scalings"),
+        ("validate", {"validate": {"flavor": "isotropic", "scalings": [float("nan")]}},
+         "validate.scalings"),
+        ("validate", {"validate": {"q0": float("inf")}}, "validate.q0"),
+        ("validate", {"validate": {"q0": float("nan")}}, "validate.q0"),
+        ("validate", {"params": {"beta": 0.0}}, "beta > 0"),
+        ("inverse", {"inverse": {"q_baseline": -5.0}}, "inverse.q_baseline"),
+        ("inverse", {"inverse": {"q_baseline": float("inf")}}, "inverse.q_baseline"),
+        ("inverse", {"inverse": {"target_pdd": float("inf")}}, "inverse.target_pdd"),
+        ("sweep", {"sweep": {"q_baseline": 0.0}}, "sweep.q_baseline"),
+        ("sweep", {"sweep": {"q_baseline": float("nan")}}, "sweep.q_baseline"),
+        ("solve", {"solve": {"q": float("nan")}}, "solve.q"),
+        ("solve", {"solve": {"q": float("-inf")}}, "solve.q"),
+    ])
+    def test_bad_numbers_named(self, command, section, match):
+        data = dict(MINIMAL, command=command, params={"beta": 1.0})
+        with pytest.raises(ConfigError, match=match):
+            parse_config_data(dict(data, **section))
+
     def test_isotropic_validate_needs_scalings(self):
         with pytest.raises(ConfigError, match="scalings"):
             parse_config_data(dict(MINIMAL, command="validate",
                                    validate={"flavor": "isotropic", "scalings": []}))
         # the anisotropic check runs no scaling study, so it does not need any
-        spec = parse_config_data(dict(MINIMAL, command="validate",
+        spec = parse_config_data(dict(MINIMAL, command="validate", params={"beta": 1.0},
                                       validate={"flavor": "anisotropic", "scalings": []}))
         assert spec.validate.scalings == []
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
+import fracflow.solvers
 from fracflow import (
     DomainSpec,
     FlowParams,
@@ -20,6 +23,8 @@ from fracflow.assembly import (
     assemble_A,
     assemble_B_in,
     assemble_F_residual,
+    dirichlet_nodes,
+    slab_frozen_matrix,
 )
 from fracflow.solvers import pss_energy
 
@@ -172,6 +177,46 @@ class TestSolveSlab:
         q = lambda x: 2.0 * (1.0 - x)
         W, _ = solve_slab(m, p, "isotropic", q, q, 1.0, reduced=True)
         assert lq_seminorm(W, m, "y", 2.0) <= 1e-10 * lq_seminorm(W, m, "x", 2.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(flavor=st.sampled_from(["isotropic", "anisotropic"]),
+           h=st.floats(0.02, 0.5),
+           beta=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+           q0=st.floats(-5.0, 5.0), q_over_v=st.floats(-2.0, 2.0),
+           nx=st.sampled_from([8, 16, 32]))
+    def test_reduced_field_solves_the_2d_reduced_equations(
+            self, flavor, h, beta, q0, q_over_v, nx):
+        m = build_fracture_slab_mesh(1.0, h, nx, 4)
+        p = FlowParams(alpha_f=1.0, beta=beta)
+        q = lambda x: q0 * (1.0 - x)
+        W, _ = solve_slab(m, p, flavor, q, q, q_over_v, tol=1e-11, reduced=True)
+        # the 2-D reduced load: lumped tensor-product (trapezoid x trapezoid)
+        # quadrature of the source q_over_v - (q+ + q-)/h
+        weights = []
+        for axis in (0, 1):
+            c = np.unique(m.nodes[:, axis])
+            w = np.zeros(len(c))
+            w[:-1] += np.diff(c) / 2.0
+            w[1:] += np.diff(c) / 2.0
+            weights.append(w[np.searchsorted(c, m.nodes[:, axis])])
+        x = m.nodes[:, 0]
+        load = weights[0] * weights[1] * (q_over_v - 2.0 * q(x) / h)
+        r = slab_frozen_matrix(m, p, W.values, flavor) @ W.values - load
+        free = np.setdiff1d(np.arange(m.num_nodes), dirichlet_nodes(m))
+        assert np.abs(W.values[dirichlet_nodes(m)]).max() == 0.0
+        assert (np.linalg.norm(r[free])
+                <= 1e-8 * np.linalg.norm(load[free]))
+
+    def test_reduced_solve_factorizes_nothing(self, monkeypatch):
+        def no_splu(*args, **kwargs):
+            raise AssertionError("the reduced slab made a sparse factorization")
+
+        monkeypatch.setattr(fracflow.solvers, "splu", no_splu)
+        m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
+        q = lambda x: 1.0 - x
+        W, rep = solve_slab(m, FlowParams(beta=1.0), "anisotropic", q, q, 0.5,
+                            reduced=True)
+        assert rep.converged and np.abs(W.values).max() > 0.0
 
     @pytest.mark.parametrize("flavor", ["isotropic", "anisotropic"])
     def test_manufactured_profile_recovered_at_order_two(self, flavor):
