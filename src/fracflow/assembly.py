@@ -19,8 +19,12 @@ Operator conventions, with basis functions phi_i and aperture h:
 so the coupled production problem reads  A z + F(z) + B_in Q = 0  with the
 well node pinned to zero.
 
-The full slab problem is ``slab_frozen_matrix`` against ``slab_rhs``; its
-1-D reduction is solved on its line by `fracflow.solvers.solve_slab`.
+The full slab problem is ``slab_frozen_matrix`` against ``slab_rhs``
+(``assemble_slab_residual``).  `fracflow.solvers.solve_slab` solves it by
+Newton's method on the free nodes, with element matrices from
+``_local_stiffness`` (scalar or symmetric 2x2 tensor coefficients) filled
+into a sparsity pattern built once (``_free_block_assembler``); its 1-D
+reduction is solved on its line.
 """
 
 from __future__ import annotations
@@ -120,25 +124,62 @@ def triangle_gradients(m: Mesh, W) -> np.ndarray:
     return np.einsum("tid,ti->td", grads, w[m.triangles])
 
 
-def _bulk_stiffness(m: Mesh, coef) -> sparse.csr_matrix:
-    """Stiffness sum_T c_T area_T (grad phi_i . grad phi_j).
+def _local_stiffness(m: Mesh, coef) -> np.ndarray:
+    """(t, 3, 3) element matrices c_T area_T (grad phi_i . grad phi_j).
 
-    `coef` is a scalar or per-triangle array; for the anisotropic variant
-    pass a (t, 2) array of diagonal tensor entries.
+    `coef` is a scalar, a per-triangle array, or a (t, 2, 2) array of
+    symmetric tensors C_T, for area_T (grad phi_i . C_T grad phi_j).  The
+    tensor's element matrices are exactly symmetric.
     """
     area, grads = _tri_geometry(m)
     c = np.asarray(coef, dtype=float)
     if c.ndim <= 1:
         local = np.einsum("tid,tjd->tij", grads, grads)
         local *= (np.atleast_1d(c) * area)[:, None, None]
-    else:  # diagonal tensor, entries (cx, cy) per triangle
-        local = (np.einsum("ti,tj->tij", grads[:, :, 0], grads[:, :, 0]) * c[:, 0, None, None]
-                 + np.einsum("ti,tj->tij", grads[:, :, 1], grads[:, :, 1]) * c[:, 1, None, None])
-        local *= area[:, None, None]
+        return local
+    gx, gy = grads[:, :, 0], grads[:, :, 1]
+    xy = gx[:, :, None] * gy[:, None, :]
+    local = (c[:, 0, 0, None, None] * (gx[:, :, None] * gx[:, None, :])
+             + c[:, 1, 1, None, None] * (gy[:, :, None] * gy[:, None, :])
+             + c[:, 0, 1, None, None] * (xy + xy.transpose(0, 2, 1)))
+    local *= area[:, None, None]
+    return local
+
+
+def _bulk_stiffness(m: Mesh, coef) -> sparse.csr_matrix:
+    """Stiffness sum_T of the element matrices of `_local_stiffness`."""
     rows = np.repeat(m.triangles, 3, axis=1).ravel()
     cols = np.tile(m.triangles, (1, 3)).ravel()
     n = m.num_nodes
-    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    return sparse.coo_matrix((_local_stiffness(m, coef).ravel(), (rows, cols)),
+                             shape=(n, n)).tocsr()
+
+
+def _free_block_assembler(m: Mesh, free: np.ndarray):
+    """Assembler of the free-free block of P1 stiffness matrices on m.
+
+    The block's sparsity pattern is built once, with the other (pinned)
+    rows and columns dropped; the returned function maps (t, 3, 3)
+    symmetric element matrices to the block by filling its values only
+    (one np.bincount over precomputed slots).  The block is symmetric, so
+    its CSR arrays are also its CSC arrays, the format SuperLU takes.
+    """
+    nf = len(free)
+    index = np.full(m.num_nodes, -1)
+    index[free] = np.arange(nf)
+    rows = index[np.repeat(m.triangles, 3, axis=1).ravel()]
+    cols = index[np.tile(m.triangles, (1, 3)).ravel()]
+    keep = (rows >= 0) & (cols >= 0)
+    keys, slot = np.unique(rows[keep] * nf + cols[keep], return_inverse=True)
+    indptr = np.searchsorted(keys // nf, np.arange(nf + 1))
+    indices = keys % nf
+
+    def assemble(local: np.ndarray) -> sparse.csc_matrix:
+        data = np.bincount(slot, weights=local.reshape(-1)[keep],
+                           minlength=len(keys))
+        return sparse.csc_matrix((data, indices, indptr), shape=(nf, nf))
+
+    return assemble
 
 
 def _line_stiffness(m: Mesh, coef_per_edge: np.ndarray) -> sparse.csr_matrix:
@@ -258,13 +299,15 @@ _FLAVORS = ("isotropic", "anisotropic")
 
 
 def _slab_coefficients(m: Mesh, p: FlowParams, W, flavor: str):
-    """Per-triangle mobility for the frozen slab operator."""
+    """Per-triangle mobility for the frozen slab operator: a scalar
+    (isotropic) or the diagonal tensor diag(fbeta_iso(|W_x|), aniso_k)."""
     g = triangle_gradients(m, W)
     if flavor == "isotropic":
         return fbeta_iso(np.linalg.norm(g, axis=1), p)
-    cx = fbeta_iso(np.abs(g[:, 0]), p)
-    cy = np.full_like(cx, p.aniso_k)
-    return np.column_stack([cx, cy])
+    c = np.zeros((len(g), 2, 2))
+    c[:, 0, 0] = fbeta_iso(np.abs(g[:, 0]), p)
+    c[:, 1, 1] = p.aniso_k
+    return c
 
 
 def _check_slab(m: Mesh, flavor: str):
@@ -275,14 +318,20 @@ def _check_slab(m: Mesh, flavor: str):
             raise AssemblyError(f"slab assembly requires boundary tag {tag!r}")
 
 
+def _at_points(q, x: np.ndarray) -> np.ndarray:
+    """q evaluated once on the array x; a q that returns a constant
+    (lambda x: 0.0) is broadcast to the shape of x."""
+    return np.broadcast_to(np.asarray(q(x), dtype=float), x.shape)
+
+
 def _edge_load(m: Mesh, edges: np.ndarray, q) -> np.ndarray:
     """Boundary load int q(x) phi_i ds, exact for linear q on each edge."""
     load = np.zeros(m.num_nodes)
     if len(edges) == 0:
         return load
     ell = _edge_geometry(m, edges)
-    qa = np.asarray([q(x) for x in m.nodes[edges[:, 0], 0]], dtype=float)
-    qb = np.asarray([q(x) for x in m.nodes[edges[:, 1], 0]], dtype=float)
+    qv = _at_points(q, m.nodes[edges, 0])
+    qa, qb = qv[:, 0], qv[:, 1]
     np.add.at(load, edges[:, 0], ell * (2.0 * qa + qb) / 6.0)
     np.add.at(load, edges[:, 1], ell * (qa + 2.0 * qb) / 6.0)
     return load

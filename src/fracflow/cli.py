@@ -8,9 +8,11 @@
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 trend or error-bound check failure (sweep/validate).
 
-solver.tol and solver.max_picard bound every Picard solve of solve,
-inverse and sweep; the retired "threads" and solver.theta are rejected as
-unknown keys (exit 2).  A sweep runs its cells serially.
+solver.tol and solver.max_picard bound every Newton solve of solve,
+inverse and sweep (max_picard counts Newton steps; the key and the
+summary's picard_iterations keep their historical names); the retired
+"threads" and solver.theta are rejected as unknown keys (exit 2).  A
+sweep runs its cells serially.
 """
 
 from __future__ import annotations

@@ -108,12 +108,16 @@ class ValidateSettings:
             raise ConfigError("validate.flavor must be 'isotropic' or 'anisotropic'")
         if not self.apertures:
             raise ConfigError("validate.apertures must be nonempty")
+        if not all(math.isfinite(h) and h > 0 for h in self.apertures):
+            raise ConfigError("validate.apertures must all be finite and > 0")
         if self.flavor == "isotropic" and not self.scalings:
             raise ConfigError("validate.scalings must be nonempty for the isotropic flavor")
         if not all(math.isfinite(s) and s > 0 for s in self.scalings):
             raise ConfigError("validate.scalings must all be finite and > 0")
         if not math.isfinite(self.q0):
             raise ConfigError("validate.q0 must be finite")
+        if not math.isfinite(self.q_over_v):
+            raise ConfigError("validate.q_over_v must be finite")
         if self.resolution is not None and not (math.isfinite(self.resolution)
                                                 and self.resolution > 0):
             raise ConfigError("validate.resolution must be finite and > 0")

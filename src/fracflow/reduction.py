@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ScalarField, triangle_gradients, _tri_geometry
+from .assembly import ScalarField, _at_points, _tri_geometry, triangle_gradients
 from .errors import GeometryError
 from .kernels import FlowParams, indicator_H
 from .meshing import Mesh, build_fracture_slab_mesh
@@ -98,9 +98,10 @@ def lq_seminorm(W, m: Mesh, component: str = "full", q: float = 1.5) -> float:
 
 
 def _integrate(fn, a: float, b: float, n: int = 2048) -> float:
-    """Composite Simpson rule on a fixed grid (deterministic)."""
+    """Composite Simpson rule on a fixed grid (deterministic); fn is
+    evaluated once, on the array of grid points."""
     x = np.linspace(a, b, n + 1)
-    y = np.asarray([fn(xi) for xi in x], dtype=float)
+    y = _at_points(fn, x)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

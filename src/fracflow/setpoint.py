@@ -29,7 +29,7 @@ from .assembly import ScalarField
 from .errors import ControlError
 from .kernels import FlowParams
 from .meshing import Mesh
-from .solvers import BulkCondensation, _pinned_solve, condense_bulk, solve_pss
+from .solvers import BulkCondensation, _pinned_solve, _solve_trace, condense_bulk
 
 __all__ = ["SetpointResult", "baseline_pdd", "step_response", "solve_setpoint"]
 
@@ -86,7 +86,8 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
 
     Pass the `condensation` of m's node set to share one bulk
     condensation between calls.  picard_tol and max_picard bound each
-    inner solve (SolverError when that budget is spent).  Raises
+    inner Newton solve on the trace (SolverError when that budget is
+    spent); the nodal field is rebuilt once, at the converged rate.  Raises
     ControlError with the (Q, PDD) history if max_outer is exhausted
     before |PDD - target| <= tol * target.
     """
@@ -108,13 +109,14 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
     side = 0
     history: list[tuple[float, float]] = []
     for k in range(1, max_outer + 1):
-        z, _ = solve_pss(m, p, Q, tol=picard_tol, max_iter=max_picard,
-                         aperture=aperture, condensation=c)
-        pdd = c.output(line, z.values[c.trace], Q / line.volume)
+        q = Q / line.volume
+        z, _ = _solve_trace(c, line, h, p, q, picard_tol, max_picard)
+        pdd = c.output(line, z, q)
         history.append((Q, pdd))
         f = pdd - target_pdd
         if abs(f) <= tol * target_pdd:
-            return SetpointResult(Q, pdd, Q / pdd, k, history, z)
+            return SetpointResult(Q, pdd, Q / pdd, k, history,
+                                  c.full_field(m, z, q))
         if f < 0:
             lo, f_lo = Q, f
             if side < 0:

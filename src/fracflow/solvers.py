@@ -1,4 +1,4 @@
-"""Bulk condensation onto the fracture trace, sparse solves and Picard loops.
+"""Bulk condensation onto the fracture trace, sparse solves and Newton solves.
 
 The reservoir model is linear Darcy flow in the bulk; its only
 nonlinearity is the Forchheimer mobility on the 1-D fracture line, which
@@ -19,17 +19,21 @@ with that bordered factor gives r and m_I . u.  A mesh family (a sweep)
 shares one node set, so one condensation over the union of its fracture
 nodes serves every cell.
 
-`_solve_line` runs the frozen-coefficient (Picard) iteration on the 1-D
-Forchheimer line problem: each step adds the line stiffness at the
-current gradient to a dense S and solves with position 0 pinned to zero.
-The mobility nonlinearity is monotone, so Picard converges without
-globalization tricks; the step is damped, by halving from 1, only if the
-nonlinear residual grows.  `solve_pss` runs it on the condensed trace and
-rebuilds the full nodal field with one solve with the bordered factor;
-the reduced slab is the same line problem with S = 0.
+Every nonlinear solve is Newton's method on a strictly convex energy,
+globalized by backtracking on that energy (`_newton`).  The Forchheimer
+flux s f(s) has the closed-form tangent t(s) = 1/sqrt(alpha^2 + 4 beta s)
+and the drag potential Phi(s) = int_0^s sigma f(sigma) dsigma
+(`_forchheimer`).
 
-The full slab keeps the sparse path: each Picard step reassembles the
-slab operator and re-solves it by one sparse LU factorization whose
+`_solve_line` solves the 1-D Forchheimer line problem: its tangent adds
+the line stiffness at coefficient h t(|z_x|) to a dense S, solved with
+position 0 pinned to zero.  `solve_pss` runs it on the condensed trace
+and rebuilds the full nodal field with one solve with the bordered
+factor; the reduced slab is the same line problem with S = 0.
+
+The full slab keeps the sparse path on its free (unpinned) nodes: the
+tangent's sparsity pattern is built once per solve, each Newton step
+refills its values and solves it by one sparse LU factorization whose
 residual is verified; a solve that fails the check raises SolverError.
 """
 
@@ -46,37 +50,41 @@ from scipy.sparse.linalg import cg, splu
 from .assembly import (
     LinearSystem,
     ScalarField,
+    _at_points,
     _bulk_load,
     _bulk_stiffness,
     _check_slab,
     _edge_geometry,
+    _free_block_assembler,
+    _local_stiffness,
     _tri_geometry,
     apply_constraints,
     assemble_B_in,
     dirichlet_nodes,
     fracture_edge_gradients,
-    slab_frozen_matrix,
     slab_rhs,
+    triangle_gradients,
 )
 from .errors import SolverError
-from .kernels import FlowParams, fbeta_iso
+from .kernels import FlowParams
 from .meshing import Mesh
 
 __all__ = ["BulkCondensation", "SolveReport", "TraceLine", "condense_bulk",
            "solve_linear", "solve_pss", "solve_slab", "pss_energy"]
 
-_STAGNATION_LIMIT = 10
-
 
 @dataclass(frozen=True)
 class SolveReport:
+    """iterations: Newton steps taken; damping_used: the smallest
+    line-search step length among them (1.0 when every step was full)."""
+
     iterations: int
     final_residual: float
     converged: bool
     damping_used: float
 
 
-def _solve_spd(A: sparse.csr_matrix, b: np.ndarray, tol: float) -> np.ndarray:
+def _solve_spd(A: sparse.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
     """Direct factorization with residual verification.
 
     One step of iterative refinement keeps the direct path at machine
@@ -133,41 +141,95 @@ def solve_linear(sys: LinearSystem, tol: float = 1e-10):
     return ScalarField(x, sys.mesh)
 
 
-def _picard(solve_frozen, residual, z0: np.ndarray, tol: float, max_iter: int,
-            norm=np.linalg.norm) -> tuple[np.ndarray, SolveReport]:
-    """Generic frozen-coefficient loop.
+def _forchheimer(s, p: FlowParams):
+    """Mobility, tangent and drag potential at gradient norms s >= 0.
 
-    solve_frozen(z) must return the next iterate for the coefficient
-    frozen at z; residual(z) the relative nonlinear residual; norm(v) the
-    norm that measures the relative update.  The damping theta starts at
-    1 and halves (down to 1/64) each time the residual grows.
+    Returns f = fbeta_iso(s), the flux tangent t = d(s f)/ds =
+    1/sqrt(alpha^2 + 4 beta s) and Phi(s) = int_0^s sigma f(sigma) dsigma,
+    all from one square root u.  Phi is free of cancellation:
+    with delta = u - alpha = 4 beta s / (alpha + u),
+
+        Phi(s) = s^2 (2 alpha + 4 delta / 3) / (alpha + u)^2,
+
+    which is s^2 / (2 alpha) at beta = 0 and never divides by beta.
     """
-    z = z0
-    theta = 1.0
-    prev_update = np.inf
-    prev_res = np.inf
-    stall = 0
+    s = np.asarray(s, dtype=float)
+    a = p.alpha_f
+    u = np.sqrt(a * a + 4.0 * p.beta * s)
+    f = 2.0 / (a + u)
+    delta = 2.0 * p.beta * s * f
+    return f, 1.0 / u, (s * f) ** 2 * (a / 2.0 + delta / 3.0)
+
+
+@dataclass(frozen=True)
+class _Linearization:
+    """A strictly convex energy E and its derivatives at one state.
+
+    grad: grad E, zero on pinned entries.  residual: |grad E| relative to
+    the load.  solve(v): x = J^-1 v with J the tangent (the Hessian of E).
+    """
+
+    energy: float
+    grad: np.ndarray
+    residual: float
+    solve: object
+
+
+def _newton(linearize, n: int, tol: float, max_iter: int,
+            norm=np.linalg.norm) -> tuple[np.ndarray, SolveReport]:
+    """Newton's method on n unknowns, globalized by backtracking on the
+    energy.
+
+    linearize(z) returns the `_Linearization` at z.  The start iterate is
+    the full Newton step from zero, which is the Darcy-limit solve (the
+    tangent at zero gradient is the mobility 1/alpha): exact when
+    beta = 0, and short of the solution's gradients otherwise (f <=
+    1/alpha), from where Newton on the concave flux s f(s) does not
+    overshoot, in one dimension.  A start beyond them (such as a linear
+    surrogate with a small k_f) can make full steps flip the gradient's
+    sign for many steps.
+
+    A step's length halves from 1 until E falls by at least 1e-4 of the
+    first-order prediction, or until both the predicted and the actual
+    change are below the rounding of E, which near convergence holds for
+    every step: at the minimizer |E| is at least a third of each of its
+    terms, so 1e-14 |E| bounds the rounding of the sum.  The loop stops
+    when the relative update (measured by norm) or the relative residual
+    is at most tol.
+    """
+    zero = linearize(np.zeros(n))
+    z = zero.solve(-zero.grad)
+    state = linearize(z)
     history = []
+    smallest = 1.0
     for k in range(1, max_iter + 1):
-        z_next = solve_frozen(z)
-        if theta != 1.0:
-            z_next = theta * z_next + (1.0 - theta) * z
-        denom = max(float(norm(z_next)), 1e-300)
-        update = float(norm(z_next - z)) / denom
-        res = residual(z_next)
-        history.append((update, res))
-        z = z_next
-        if update <= tol or res <= tol:
-            return z, SolveReport(k, res, True, theta)
-        if res > prev_res:
-            theta = max(theta / 2.0, 1.0 / 64.0)
-        stall = stall + 1 if update >= prev_update else 0
-        if stall >= _STAGNATION_LIMIT:
-            raise SolverError(
-                f"Picard stagnated for {stall} steps (update {update:g}, "
-                f"damping {theta:g})", history)
-        prev_update, prev_res = update, res
-    raise SolverError(f"Picard did not converge in {max_iter} iterations "
+        try:
+            d = state.solve(-state.grad)
+        except SolverError as exc:
+            raise SolverError(f"Newton step {k}: {exc}", history + exc.history) from exc
+        if not np.all(np.isfinite(d)):
+            raise SolverError(f"Newton step {k} left the finite range", history)
+        slope = float(state.grad @ d)
+        step = 1.0
+        while True:
+            z_next = z + step * d
+            trial = linearize(z_next)
+            change = trial.energy - state.energy
+            rounding = 1e-14 * max(abs(state.energy), abs(trial.energy))
+            if (change <= 1e-4 * step * slope
+                    or max(change, -step * slope) <= rounding):
+                break
+            step /= 2.0
+            if step < 1e-10:
+                raise SolverError(f"line search stalled in Newton step {k} "
+                                  f"(residual {state.residual:g})", history)
+        smallest = min(smallest, step)
+        update = float(norm(z_next - z)) / max(float(norm(z_next)), 1e-300)
+        history.append((update, trial.residual, step))
+        z, state = z_next, trial
+        if update <= tol or state.residual <= tol:
+            return z, SolveReport(k, state.residual, True, smallest)
+    raise SolverError(f"Newton did not converge in {max_iter} iterations "
                       f"(last residual {history[-1][1]:g})", history)
 
 
@@ -229,31 +291,25 @@ def _pinned_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _solve_line(S: np.ndarray, line: TraceLine, h: float, p: FlowParams,
                 b: np.ndarray, norm_b: float, tol: float, max_iter: int,
                 ) -> tuple[np.ndarray, SolveReport]:
-    """Picard solve of the line problem S z + (line flux at mobility
-    h * fbeta_iso(|z_x|)) = b, position 0 pinned to zero; norm_b scales the
-    residual.  The start iterate solves the linear surrogate (h * k_f), so
-    with beta = 0 and the default k_f the loop exits after one iteration.
+    """Newton solve of the line problem S z + (line flux at mobility
+    h * fbeta_iso(|z_x|)) = b, position 0 pinned to zero: the minimizer of
+
+        E(z) = 1/2 z.S z + h sum_e ell_e Phi(|z_x|) - b.z,
+
+    whose tangent is line.operator(S, h * t(|z_x|)).  norm_b scales the
+    residual.
     """
     norm_b = max(norm_b, 1e-300)
 
-    # residual(z) and the next solve_frozen(z) see the same iterate object,
-    # so each Picard step evaluates the mobility once
-    last = {}
-
-    def mobility(z):
-        if last.get("z") is not z:
-            gx = line.gradients(z)
-            last.update(z=z, gx=gx, coef=h * fbeta_iso(np.abs(gx), p))
-        return last["gx"], last["coef"]
-
-    def solve_frozen(z):
-        return _pinned_solve(line.operator(S, mobility(z)[1]), b)
-
-    def residual(z):
-        gx, coef = mobility(z)
-        r = S @ z + line.flux(coef * gx) - b
-        r[0] = 0.0
-        return float(np.linalg.norm(r)) / norm_b
+    def linearize(z):
+        gx = line.gradients(z)
+        f, t, phi = _forchheimer(np.abs(gx), p)
+        Sz = S @ z
+        grad = Sz + line.flux(h * f * gx) - b
+        grad[0] = 0.0
+        energy = 0.5 * float(z @ Sz) + h * float(line.ell @ phi) - float(b @ z)
+        return _Linearization(energy, grad, float(np.linalg.norm(grad)) / norm_b,
+                              lambda v: _pinned_solve(line.operator(S, h * t), v))
 
     # the update is measured on the nodes of the line itself, so a trace
     # larger than the line (a mesh family's) stops at the same step
@@ -262,8 +318,7 @@ def _solve_line(S: np.ndarray, line: TraceLine, h: float, p: FlowParams,
     def norm(v):
         return np.linalg.norm(v[on_line])
 
-    z0 = _pinned_solve(line.operator(S, np.full(len(line.ell), h * p.k_f)), b)
-    return _picard(solve_frozen, residual, z0, tol, max_iter, norm)
+    return _newton(linearize, len(b), tol, max_iter, norm)
 
 
 def _same_node_set(a: Mesh, b: Mesh) -> bool:
@@ -392,6 +447,16 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
         area=float(_tri_geometry(m)[0].sum()))
 
 
+def _solve_trace(c: BulkCondensation, line: TraceLine, h: float,
+                 p: FlowParams, q: float, tol: float, max_iter: int,
+                 ) -> tuple[np.ndarray, SolveReport]:
+    """Trace state of the coupled model at q = Q / volume on condensation c."""
+    # residual relative to the full uncondensed load, whose interior rows
+    # the condensed state satisfies exactly
+    norm_b = abs(q) * float(np.sqrt(c.load_I @ c.load_I + line.load @ line.load))
+    return _solve_line(c.S, line, h, p, q * line.weights, norm_b, tol, max_iter)
+
+
 def solve_pss(m: Mesh, p: FlowParams, Q: float, tol: float = 1e-9,
               max_iter: int = 100,
               aperture: float | None = None, *,
@@ -406,18 +471,43 @@ def solve_pss(m: Mesh, p: FlowParams, Q: float, tol: float = 1e-9,
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p, h)
     q = Q / line.volume
-    # residual relative to the full uncondensed load, whose interior rows
-    # the condensed state satisfies exactly
-    norm_b = abs(q) * float(np.sqrt(c.load_I @ c.load_I + line.load @ line.load))
-    z, report = _solve_line(c.S, line, h, p, q * line.weights, norm_b, tol,
-                            max_iter)
+    z, report = _solve_trace(c, line, h, p, q, tol, max_iter)
     return c.full_field(m, z, q), report
+
+
+def _slab_constitutive(g: np.ndarray, p: FlowParams, flavor: str):
+    """Flux, tangent and potential of the slab flow on (t, 2) gradients g.
+
+    Returns the flux coefficient times g, (t, 2); its derivative, (t, 2, 2)
+    symmetric positive definite; and the potential Psi, (t,), whose
+    gradient is the flux.  Isotropic: flux f(|g|) g, tangent
+    f I + (t - f) e e^T with e = g/|g| (f I at g = 0), Psi = Phi(|g|).
+    Anisotropic: flux (f(|g_x|) g_x, aniso_k g_y), tangent
+    diag(t(|g_x|), aniso_k), Psi = Phi(|g_x|) + aniso_k g_y^2 / 2.
+    """
+    tangent = np.zeros((len(g), 2, 2))
+    if flavor == "isotropic":
+        s = np.linalg.norm(g, axis=1)
+        f, t, phi = _forchheimer(s, p)
+        e = np.divide(g, s[:, None], out=np.zeros_like(g), where=s[:, None] > 0)
+        tangent[:, 0, 0] = tangent[:, 1, 1] = f
+        tangent += (t - f)[:, None, None] * (e[:, :, None] * e[:, None, :])
+        return f[:, None] * g, tangent, phi
+    f, t, phi = _forchheimer(np.abs(g[:, 0]), p)
+    k = p.aniso_k
+    tangent[:, 0, 0] = t
+    tangent[:, 1, 1] = k
+    return (np.column_stack([f * g[:, 0], k * g[:, 1]]), tangent,
+            phi + 0.5 * k * g[:, 1] ** 2)
 
 
 def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
                q_over_v: float, tol: float = 1e-9, max_iter: int = 100,
                reduced: bool = False) -> tuple[ScalarField, SolveReport]:
-    """Picard solve of the slab problem (full or reduced form).
+    """Newton solve of the slab problem (full or reduced form).
+
+    The full slab minimizes sum_T area_T Psi(grad W) - rhs . W over the
+    fields that vanish on the pressure-pinned boundary, on its free nodes.
 
     With ``reduced=True`` the lateral inflow moves into the volumetric
     source q_over_v - (q+(x)+q-(x))/h and the lateral boundary becomes
@@ -430,8 +520,8 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
         xs = np.unique(m.nodes[:, 0])
         dx = np.diff(xs)
         wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
-        b = wx * np.array([q_over_v - (q_plus(x) + q_minus(x)) / m.aperture
-                           for x in xs])
+        b = wx * (q_over_v - (_at_points(q_plus, xs) + _at_points(q_minus, xs))
+                  / m.aperture)
         edges = np.column_stack([np.arange(len(dx)), np.arange(1, len(xs))])
         z, report = _solve_line(np.zeros((len(xs), len(xs))),
                                 TraceLine(edges, dx, wx, wx, float(xs[-1])),
@@ -439,35 +529,32 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
         return ScalarField(z[np.searchsorted(xs, m.nodes[:, 0])], m), report
 
     rhs = slab_rhs(m, q_plus, q_minus, float(q_over_v))
-    fixed = dirichlet_nodes(m)
-    constraints = [(int(i), 0.0) for i in fixed]
+    free = np.setdiff1d(np.arange(m.num_nodes), dirichlet_nodes(m))
+    rhs_f = rhs[free]
+    area, grads = _tri_geometry(m)
+    tangent_matrix = _free_block_assembler(m, free)
     lin_tol = max(1e-13, min(1e-11, tol * 1e-3))
     norm_rhs = max(float(np.linalg.norm(rhs)), 1e-300)
 
-    def solve_frozen(z):
-        K = slab_frozen_matrix(m, p, z, flavor)
-        A_c, b_c = apply_constraints(K, rhs, constraints)
-        return _solve_spd(A_c, b_c, lin_tol)
+    def field(w_f):
+        w = np.zeros(m.num_nodes)
+        w[free] = w_f
+        return w
 
-    def residual(z):
-        r = slab_frozen_matrix(m, p, z, flavor) @ z - rhs
-        r[fixed] = 0.0
-        return float(np.linalg.norm(r)) / norm_rhs
+    def linearize(w_f):
+        g = triangle_gradients(m, field(w_f))
+        flux, tangent, psi = _slab_constitutive(g, p, flavor)
+        element = np.einsum("tid,td->ti", grads, flux) * area[:, None]
+        grad = np.bincount(m.triangles.ravel(), weights=element.ravel(),
+                           minlength=m.num_nodes)[free] - rhs_f
+        energy = float(area @ psi) - float(rhs_f @ w_f)
+        return _Linearization(
+            energy, grad, float(np.linalg.norm(grad)) / norm_rhs,
+            lambda v: _solve_spd(tangent_matrix(_local_stiffness(m, tangent)),
+                                 v, lin_tol))
 
-    z0 = solve_frozen(np.zeros(m.num_nodes))
-    z, report = _picard(solve_frozen, residual, z0, tol, max_iter)
-    return ScalarField(z, m), report
-
-
-def _forchheimer_potential(g, alpha: float, beta: float):
-    """Antiderivative int_0^g s * fbeta_iso(s) ds, closed form."""
-    g = np.asarray(g, dtype=float)
-    if beta == 0.0:
-        return 0.5 * g * g / alpha
-    u = np.sqrt(alpha * alpha + 4.0 * beta * g)
-    bracket = u ** 3 / 3.0 - alpha * u * u / 2.0
-    bracket0 = alpha ** 3 / 3.0 - alpha ** 3 / 2.0  # at g = 0
-    return (bracket - bracket0) / (4.0 * beta * beta)
+    w_f, report = _newton(linearize, len(free), tol, max_iter)
+    return ScalarField(field(w_f), m), report
 
 
 def pss_energy(m: Mesh, p: FlowParams, W, Q: float,
@@ -475,9 +562,10 @@ def pss_energy(m: Mesh, p: FlowParams, W, Q: float,
     """Variational energy of the coupled state at rate Q.
 
     Half the bulk Darcy energy plus the fracture drag potential minus the
-    work of the source load; this is the convex functional the
-    frozen-coefficient iteration descends, so it decreases monotonically
-    along Picard iterates.
+    work of the source load.  It is strictly convex, and its minimizer is
+    the pseudo-steady state.  On the field `BulkCondensation.full_field`
+    rebuilds from a trace state it equals, up to a constant, the condensed
+    energy the Newton line search of `solve_pss` descends.
     """
     h = m.aperture if aperture is None else aperture
     w = W.values if isinstance(W, ScalarField) else np.asarray(W, dtype=float)
@@ -485,9 +573,7 @@ def pss_energy(m: Mesh, p: FlowParams, W, Q: float,
     e = 0.5 * float(w @ (A_bulk @ w))
     if h != 0.0 and len(m.fracture_edges) > 0:
         gx = fracture_edge_gradients(m, w)
-        a = m.nodes[m.fracture_edges[:, 0]]
-        b = m.nodes[m.fracture_edges[:, 1]]
-        ell = np.linalg.norm(b - a, axis=1)
-        e += h * float(np.sum(ell * _forchheimer_potential(np.abs(gx), p.alpha_f, p.beta)))
+        ell = _edge_geometry(m, m.fracture_edges)
+        e += h * float(np.sum(ell * _forchheimer(np.abs(gx), p)[2]))
     e -= float((-assemble_B_in(m, aperture=h) * Q) @ w)
     return e

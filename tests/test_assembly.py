@@ -16,7 +16,17 @@ from fracflow import (
     build_reservoir_mesh,
     output_C,
 )
-from fracflow.assembly import apply_constraints, slab_frozen_matrix
+from fracflow.assembly import (
+    _bulk_stiffness,
+    _edge_load,
+    _free_block_assembler,
+    _local_stiffness,
+    _tri_geometry,
+    apply_constraints,
+    dirichlet_nodes,
+    slab_frozen_matrix,
+)
+from fracflow.meshing import TAG_FRAC_PLUS
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +211,57 @@ class TestSlabResidual:
             norms.append(np.linalg.norm(r))
         orders = np.log2(np.array(norms[:-1]) / np.array(norms[1:]))
         assert np.all(orders >= 1.0)
+
+
+class TestTensorStiffness:
+    def test_tensor_matches_elementwise_reference(self):
+        m = build_fracture_slab_mesh(1.0, 0.2, 4, 4)
+        rng = np.random.default_rng(5)
+        L = rng.normal(size=(len(m.triangles), 2, 2))
+        C = L @ L.transpose(0, 2, 1) + np.eye(2)  # symmetric positive definite
+        K = _bulk_stiffness(m, C).toarray()
+        area, grads = _tri_geometry(m)
+        ref = np.zeros_like(K)
+        for t, tri in enumerate(m.triangles):
+            ref[np.ix_(tri, tri)] += area[t] * grads[t] @ C[t] @ grads[t].T
+        assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(K, K.T)
+
+    def test_isotropic_tensor_is_the_scalar_branch(self):
+        m = build_fracture_slab_mesh(1.0, 0.2, 4, 4)
+        c = np.random.default_rng(6).uniform(0.5, 2.0, len(m.triangles))
+        K = _bulk_stiffness(m, c[:, None, None] * np.eye(2))
+        assert abs(K - _bulk_stiffness(m, c)).max() <= 1e-14 * abs(K).max()
+
+    def test_free_block_refill_matches_assembly(self):
+        m = build_fracture_slab_mesh(1.0, 0.2, 8, 4)
+        free = np.setdiff1d(np.arange(m.num_nodes), dirichlet_nodes(m))
+        assemble = _free_block_assembler(m, free)
+        rng = np.random.default_rng(7)
+        for _ in range(2):  # the pattern is reused across refills
+            L = rng.normal(size=(len(m.triangles), 2, 2))
+            C = L @ L.transpose(0, 2, 1) + np.eye(2)
+            block = assemble(_local_stiffness(m, C))
+            ref = _bulk_stiffness(m, C)[free][:, free]
+            assert abs(block - ref).max() <= 1e-14 * abs(ref).max()
+            assert (block != block.T).nnz == 0
+
+
+class TestEdgeLoad:
+    @pytest.mark.parametrize("q", [lambda x: 2.0 * (1.0 - x),
+                                   lambda x: np.cos(3.0 * x) + x ** 2,
+                                   lambda x: 0.25])
+    def test_matches_pointwise_evaluation(self, q):
+        m = build_fracture_slab_mesh(1.0, 0.2, 8, 4)
+        edges = m.boundary_edges[TAG_FRAC_PLUS]
+        ref = np.zeros(m.num_nodes)
+        for a, b in edges:
+            ell = np.linalg.norm(m.nodes[b] - m.nodes[a])
+            qa, qb = float(q(m.nodes[a, 0])), float(q(m.nodes[b, 0]))
+            ref[a] += ell * (2.0 * qa + qb) / 6.0
+            ref[b] += ell * (qa + 2.0 * qb) / 6.0
+        load = _edge_load(m, edges, q)
+        assert np.abs(load - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestConstraints:

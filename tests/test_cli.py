@@ -151,6 +151,8 @@ def test_bad_sweep_and_validate_settings_exit_2(tmp_path):
            ("validate", {"validate": {"resolution": -1.0}}),
            ("validate", {"params": dict(PARAMS, beta=0.0)}),
            ("validate", {"validate": {"q0": float("inf")}}),
+           ("validate", {"validate": {"apertures": [float("inf")]}}),
+           ("validate", {"validate": {"q_over_v": float("nan")}}),
            ("inverse", {"inverse": {"q_baseline": -5.0}}),
            ("sweep", {"sweep": dict(sweep, q_baseline=0.0)}),
            ("solve", {"solve": {"q": float("nan")}})]

@@ -12,6 +12,7 @@ from fracflow import (
     linear_inflow,
     lq_seminorm,
 )
+from fracflow.reduction import _integrate
 
 
 def unit_square_mesh():
@@ -46,6 +47,21 @@ class TestSeminorm:
             lq_seminorm(W, m, "x", 0.5)
         with pytest.raises(ValueError):
             lq_seminorm(W, m, "z", 2.0)
+
+
+class TestIntegrate:
+    @pytest.mark.parametrize("fn", [lambda x: abs(2.0 * (1.0 - x)) ** 3,
+                                    lambda x: np.sin(x) + 1.0,
+                                    lambda x: 0.25])
+    def test_matches_pointwise_simpson(self, fn):
+        n = 2048
+        x = np.linspace(0.0, 1.5, n + 1)
+        y = np.array([float(fn(xi)) for xi in x])
+        w = np.ones(n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        ref = 1.5 / (3.0 * n) * np.sum(w * y)
+        assert _integrate(fn, 0.0, 1.5) == pytest.approx(ref, rel=1e-12)
 
 
 class TestIsotropic:

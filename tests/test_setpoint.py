@@ -116,6 +116,25 @@ class TestSetpoint:
             solve_setpoint(rect_mesh, p, target, max_outer=2)
         assert len(err.value.history) == 2
 
+    def test_field_rebuilt_once_at_the_converged_rate(self, rect_mesh, monkeypatch):
+        from fracflow.solvers import BulkCondensation
+        p = FlowParams(alpha_f=0.05, beta=1e-2)
+        c = condense_bulk(rect_mesh, p.k_p)
+        target = baseline_pdd(rect_mesh, p, 1000.0, condensation=c)
+        calls = []
+        full_field = BulkCondensation.full_field
+
+        def counting(self, *args):
+            calls.append(1)
+            return full_field(self, *args)
+
+        monkeypatch.setattr(BulkCondensation, "full_field", counting)
+        res = solve_setpoint(rect_mesh, p, target, condensation=c)
+        assert res.outer_iterations > 1 and len(calls) == 1
+        z, _ = solve_pss(rect_mesh, p, res.Q, condensation=c)
+        assert np.array_equal(res.field.values, z.values)
+        assert output_C(rect_mesh, res.field) == pytest.approx(res.PDD, rel=1e-9)
+
     def test_empty_budget_rejected(self, rect_mesh):
         with pytest.raises(ValueError, match="max_outer"):
             solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), 500.0, max_outer=0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,10 +25,21 @@ from fracflow.assembly import (
     assemble_A,
     assemble_B_in,
     assemble_F_residual,
+    assemble_slab_residual,
     dirichlet_nodes,
     slab_frozen_matrix,
+    slab_rhs,
+    triangle_gradients,
 )
-from fracflow.solvers import pss_energy
+from fracflow.kernels import fbeta_iso
+from fracflow.solvers import (
+    _forchheimer,
+    _Linearization,
+    _newton,
+    _slab_constitutive,
+    condense_bulk,
+    pss_energy,
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +52,171 @@ def rect_mesh():
 def l2_field_norm(m, values):
     area, _ = _tri_geometry(m)
     return float(np.sqrt(np.sum(area * (values[m.triangles] ** 2).mean(axis=1))))
+
+
+def count_calls(monkeypatch, name):
+    """Calls of fracflow.solvers.<name> made while the test runs."""
+    calls = []
+    original = getattr(fracflow.solvers, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fracflow.solvers, name, counting)
+    return calls
+
+
+def record_accepted_states(monkeypatch):
+    """States the Newton loop accepts, in order: every state whose tangent
+    system it solves (zero for the Darcy start, then the base of each
+    step) and the state it returns."""
+    states = []
+    newton = fracflow.solvers._newton
+
+    def recording(linearize, *args, **kwargs):
+        def tracked(z):
+            lin = linearize(z)
+
+            def solve(v):
+                states.append(np.array(z))
+                return lin.solve(v)
+
+            return dataclasses.replace(lin, solve=solve)
+
+        z, report = newton(tracked, *args, **kwargs)
+        states.append(z)
+        return z, report
+
+    monkeypatch.setattr(fracflow.solvers, "_newton", recording)
+    return states
+
+
+def gradient_scale(s, p):
+    """max(s, alpha^2 / beta): alpha^2 / beta is where the drag turns
+    quadratic, so finite differences step a small fraction of it even at
+    s = 0, where the flux's second derivative jumps."""
+    return max(s, p.alpha_f ** 2 / p.beta if p.beta > 0 else 1.0)
+
+
+def flux(s, p):
+    """The Forchheimer flux s f(s), odd in s."""
+    return np.sign(s) * np.abs(s) * fbeta_iso(np.abs(s), p)
+
+
+class TestForchheimer:
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=st.floats(0.01, 100.0),
+           beta=st.one_of(st.just(0.0), st.just(1e-300),
+                          st.floats(-300.0, 4.0).map(lambda e: 10.0 ** e)),
+           s=st.floats(1e-3, 1e3))
+    def test_potential_matches_quadrature(self, alpha, beta, s):
+        from scipy.integrate import quad
+        p = FlowParams(alpha_f=alpha, beta=beta)
+        # the integrand turns from linear to sqrt-like near alpha^2 / beta:
+        # break the interval there for the adaptive rule
+        knee = alpha ** 2 / beta if beta > 0 else np.inf
+        points = [c * knee for c in (1e-2, 1.0, 1e2) if c * knee < s]
+        exact, _ = quad(lambda x: x * fbeta_iso(x, p), 0.0, s, points=points or None,
+                        epsabs=0.0, epsrel=1e-12, limit=200)
+        assert _forchheimer(s, p)[2] == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize("beta", [1e-6, 1e-8, 1e-10, 1e-170])
+    def test_potential_keeps_its_digits_at_weak_drag(self, beta):
+        # Phi(1) = 1/2 - beta/3 + O(beta^2) at alpha = 1: the closed form
+        # through (u^3/3 - alpha u^2/2) lost every digit of the difference
+        phi = float(_forchheimer(1.0, FlowParams(alpha_f=1.0, beta=beta))[2])
+        assert phi < 0.5 or beta < 1e-16
+        assert 0.5 - phi == pytest.approx(beta / 3.0, rel=1e-5, abs=1e-17)
+
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.1, 10.0),
+           beta=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           s=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    def test_tangent_is_the_flux_derivative(self, alpha, beta, s):
+        p = FlowParams(alpha_f=alpha, beta=beta)
+        eps = 1e-8 * gradient_scale(s, p)
+        fd = (flux(s + eps, p) - flux(s - eps, p)) / (2.0 * eps)
+        assert _forchheimer(s, p)[1] == pytest.approx(fd, rel=1e-6)
+
+    @settings(max_examples=100, deadline=None)
+    @given(flavor=st.sampled_from(["isotropic", "anisotropic"]),
+           alpha=st.floats(0.1, 10.0),
+           beta=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           g=st.one_of(st.just((0.0, 0.0)),
+                       st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))))
+    def test_slab_tangent_and_flux_are_derivatives(self, flavor, alpha, beta, g):
+        p = FlowParams(alpha_f=alpha, beta=beta)
+        g = np.array([g])
+        q, tangent, _ = _slab_constitutive(g, p, flavor)
+        assert np.array_equal(tangent, tangent.transpose(0, 2, 1))
+        assert np.all(np.linalg.eigvalsh(tangent) > 0)
+        dq = np.empty((2, 2))
+        dpsi = np.empty(2)
+        top = np.abs(tangent).max()
+        for j in range(2):
+            # the anisotropic drag acts on |g_x| alone
+            s = abs(g[0, 0]) if (flavor, j) == ("anisotropic", 0) else np.linalg.norm(g)
+            e = np.zeros((1, 2))
+            e[0, j] = eps = 1e-8 * gradient_scale(s, p)
+            plus = _slab_constitutive(g + e, p, flavor)
+            minus = _slab_constitutive(g - e, p, flavor)
+            dq[:, j] = (plus[0] - minus[0])[0] / (2.0 * eps)
+            dpsi[j] = (plus[2] - minus[2])[0] / (2.0 * eps)
+            rounding = 1e-14 * float(abs(plus[2][0]) + abs(minus[2][0])) / eps
+            assert dpsi[j] == pytest.approx(q[0, j], rel=1e-6, abs=rounding)
+        assert np.allclose(dq, tangent[0], rtol=0.0, atol=1e-6 * top)
+
+
+class TestNewton:
+    def test_line_search_cuts_an_overlong_step(self):
+        # a tangent four times too soft: every full step overshoots to
+        # higher energy, and a quarter step is the exact Newton step
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        b = np.array([1.0, -2.0])
+
+        def linearize(z):
+            grad = A @ z - b
+            return _Linearization(0.5 * z @ A @ z - b @ z, grad,
+                                  float(np.linalg.norm(grad) / np.linalg.norm(b)),
+                                  lambda v: 4.0 * np.linalg.solve(A, v))
+
+        z, rep = _newton(linearize, 2, 1e-12, 20)
+        assert rep.converged and rep.damping_used == 0.25
+        assert np.allclose(z, np.linalg.solve(A, b), rtol=1e-12)
+
+    def test_singular_factor_raises_with_step_history(self, monkeypatch):
+        splu = fracflow.solvers.splu
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # Darcy start, step 1, then step 2 fails
+                raise RuntimeError("Factor is exactly singular")
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(fracflow.solvers, "splu", failing)
+        m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
+        q = lambda x: 2.0 * (1.0 - x)
+        with pytest.raises(SolverError, match="Newton step 2") as err:
+            solve_slab(m, FlowParams(beta=1.0), "isotropic", q, q, 0.0)
+        history = err.value.history
+        assert len(history) == 2 and len(history[0]) == 3
+        assert history[-1][0] == "direct"
+
+    def test_non_finite_iterate_raises_with_step_history(self, rect_mesh, monkeypatch):
+        pinned = fracflow.solvers._pinned_solve
+        calls = []
+
+        def exploding(M, rhs):
+            calls.append(1)
+            x = pinned(M, rhs)
+            return np.full_like(x, np.inf) if len(calls) == 3 else x
+
+        monkeypatch.setattr(fracflow.solvers, "_pinned_solve", exploding)
+        with pytest.raises(SolverError, match="finite") as err:
+            solve_pss(rect_mesh, FlowParams(alpha_f=0.05, beta=0.1), 1000.0)
+        assert len(err.value.history) == 1
 
 
 class TestSolveLinear:
@@ -93,6 +271,11 @@ class TestSolvePss:
                / np.linalg.norm(lin.values))
         assert rel <= 1e-12
 
+    def test_zero_aperture_takes_one_step(self, rect_mesh):
+        _, rep = solve_pss(rect_mesh, FlowParams(alpha_f=0.1, beta=0.5), 500.0,
+                           aperture=0.0)
+        assert rep.iterations == 1 and rep.converged
+
     def test_zero_rate_gives_zero_field(self, rect_mesh):
         p = FlowParams(alpha_f=0.1, beta=0.5)
         z, rep = solve_pss(rect_mesh, p, 0.0)
@@ -114,45 +297,29 @@ class TestSolvePss:
              + assemble_B_in(rect_mesh) * Q)
         assert abs(r[rect_mesh.well_node] + Q) <= 1e-8 * Q
 
-    def test_energy_descends_along_iterates(self, rect_mesh):
-        # replay the frozen-coefficient loop and track the variational energy
-        from fracflow.assembly import apply_constraints, fracture_edge_gradients, _line_stiffness
-        from fracflow.kernels import fbeta_iso
-        from fracflow.solvers import _solve_spd
+    def test_energy_descends_along_iterates(self, rect_mesh, monkeypatch):
+        # the energy of the full field (pss_energy, independent of the
+        # solver's condensed energy up to a constant) never increases
+        # along the trace states Newton accepts
         p = FlowParams(alpha_f=0.05, beta=0.01)
         Q = 1000.0
-        A_bulk = _bulk_stiffness(rect_mesh, p.k_p)
-        b = -assemble_B_in(rect_mesh) * Q
-        cons = [(rect_mesh.well_node, 0.0)]
-        h = rect_mesh.aperture
-        A_lin = A_bulk + _line_stiffness(
-            rect_mesh, np.full(len(rect_mesh.fracture_edges), h * p.k_f))
-        A_c, b_c = apply_constraints(A_lin, b, cons)
-        z = _solve_spd(A_c, b_c, 1e-12)
-        energies = [pss_energy(rect_mesh, p, z, Q)]
-        for _ in range(8):
-            gx = fracture_edge_gradients(rect_mesh, z)
-            A = A_bulk + _line_stiffness(rect_mesh, h * fbeta_iso(np.abs(gx), p))
-            A_c, b_c = apply_constraints(A, b, cons)
-            z = _solve_spd(A_c, b_c, 1e-12)
-            energies.append(pss_energy(rect_mesh, p, z, Q))
-        e = np.array(energies)
-        slack = 1e-6 * np.abs(e[2:-1])
-        assert np.all(e[3:] <= e[2:-1] + slack)
+        c = condense_bulk(rect_mesh, p.k_p)
+        states = record_accepted_states(monkeypatch)
+        _, rep = solve_pss(rect_mesh, p, Q, tol=1e-12, condensation=c)
+        assert len(states) == rep.iterations + 2 >= 4
+        q = Q / c.line(rect_mesh, p.k_p, rect_mesh.aperture).volume
+        e = np.array([pss_energy(rect_mesh, p, c.full_field(rect_mesh, z, q), Q)
+                      for z in states])
+        assert np.all(np.diff(e) <= 1e-12 * np.abs(e[1:]))
+        assert e[-1] < e[0]
 
-    def test_mobility_evaluated_once_per_step(self, rect_mesh, monkeypatch):
-        import fracflow.solvers
-        calls = []
-        original = fracflow.solvers.fbeta_iso
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(fracflow.solvers, "fbeta_iso", counting)
+    def test_flux_and_tangent_evaluated_once_per_step(self, rect_mesh, monkeypatch):
+        # one evaluation for the Darcy start (at zero), one at the start
+        # iterate and one per Newton step, when no step is cut
+        calls = count_calls(monkeypatch, "_forchheimer")
         _, rep = solve_pss(rect_mesh, FlowParams(alpha_f=0.05, beta=0.1), 1000.0)
-        assert rep.iterations > 1
-        assert len(calls) == rep.iterations + 1
+        assert rep.iterations > 1 and rep.damping_used == 1.0
+        assert len(calls) == rep.iterations + 2
 
     def test_iteration_budget_enforced(self, rect_mesh):
         p = FlowParams(alpha_f=0.01, beta=1.0)
@@ -170,6 +337,87 @@ class TestSolveSlab:
             W, rep = solve_slab(m, p, "isotropic", zero, zero, 0.0, reduced=reduced)
             assert np.abs(W.values).max() == 0.0
             assert rep.converged
+
+    @pytest.mark.parametrize("flavor", ["isotropic", "anisotropic"])
+    def test_darcy_slab_takes_one_step(self, flavor):
+        m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
+        q = lambda x: 2.0 * (1.0 - x)
+        for reduced in (False, True):
+            _, rep = solve_slab(m, FlowParams(alpha_f=2.0, beta=0.0), flavor,
+                                q, q, 0.5, reduced=reduced)
+            assert rep.iterations == 1 and rep.converged
+
+    @settings(max_examples=30, deadline=None)
+    @given(flavor=st.sampled_from(["isotropic", "anisotropic"]),
+           h=st.floats(0.02, 0.5),
+           beta=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+           q0=st.floats(-5.0, 5.0), q_over_v=st.floats(-2.0, 2.0))
+    def test_full_slab_solves_its_residual(self, flavor, h, beta, q0, q_over_v):
+        m = build_fracture_slab_mesh(1.0, h, 16, 4)
+        p = FlowParams(alpha_f=1.0, beta=beta)
+        q = lambda x: q0 * (1.0 - x)
+        tol = 1e-8
+        W, rep = solve_slab(m, p, flavor, q, q, q_over_v, tol=tol)
+        assert rep.converged and rep.iterations <= 10
+        r = assemble_slab_residual(m, p, W, flavor, q, q, q_over_v)
+        # plus the rounding by which the solver's per-triangle residual and
+        # this frozen-matrix one differ (at most 6e-12 of the load in a
+        # 300-sample scan)
+        assert (np.linalg.norm(r)
+                <= (tol + 1e-10) * np.linalg.norm(slab_rhs(m, q, q, q_over_v)))
+
+    @pytest.mark.parametrize("q0", [4.0, 8.0])
+    def test_deep_drag_isotropic_slab_converges(self, q0):
+        # the full slab of the isotropic validate gate at beta = 1
+        # (test_validate_isotropic_gate_fails_in_deep_drag_regime)
+        m = build_fracture_slab_mesh(1.0, 0.1, 32, 8)
+        p = FlowParams(alpha_f=1.0, beta=1.0)
+        q = lambda x: q0 * (1.0 - x)
+        W, rep = solve_slab(m, p, "isotropic", q, q, 0.0, tol=1e-10)
+        assert rep.converged and rep.iterations <= 10
+        r = assemble_slab_residual(m, p, W, "isotropic", q, q, 0.0)
+        assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(slab_rhs(m, q, q, 0.0))
+        # a tol below the residual's rounding floor: the update test stops it
+        _, rep = solve_slab(m, p, "isotropic", q, q, 0.0, tol=1e-14)
+        assert rep.converged and rep.final_residual > 1e-14
+
+    @pytest.mark.parametrize("flavor", ["isotropic", "anisotropic"])
+    def test_slab_energy_descends_along_iterates(self, flavor, monkeypatch):
+        m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
+        p = FlowParams(alpha_f=1.0, beta=1.0)
+        q = lambda x: 4.0 * (1.0 - x)
+        states = record_accepted_states(monkeypatch)
+        _, rep = solve_slab(m, p, flavor, q, q, 0.5, tol=1e-12)
+        assert len(states) == rep.iterations + 2
+        free = np.setdiff1d(np.arange(m.num_nodes), dirichlet_nodes(m))
+        rhs = slab_rhs(m, q, q, 0.5)
+        area, _ = _tri_geometry(m)
+        energies = []
+        for w_free in states:
+            w = np.zeros(m.num_nodes)
+            w[free] = w_free
+            g = triangle_gradients(m, w)
+            if flavor == "isotropic":
+                psi = _forchheimer(np.linalg.norm(g, axis=1), p)[2]
+            else:
+                psi = (_forchheimer(np.abs(g[:, 0]), p)[2]
+                       + 0.5 * p.aniso_k * g[:, 1] ** 2)
+            energies.append(float(area @ psi - rhs @ w))
+        e = np.array(energies)
+        assert np.all(np.diff(e) <= 1e-12 * np.abs(e[1:]))
+        assert e[-1] < e[1] < e[0] == 0.0
+
+    def test_full_slab_refills_one_pattern(self, monkeypatch):
+        # no constraint elimination: one factorization for the Darcy start
+        # and one per Newton step, the last state needs none
+        factorizations = count_calls(monkeypatch, "splu")
+        eliminations = count_calls(monkeypatch, "apply_constraints")
+        m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
+        q = lambda x: 2.0 * (1.0 - x)
+        _, rep = solve_slab(m, FlowParams(beta=1.0), "anisotropic", q, q, 0.0)
+        assert rep.iterations > 1
+        assert len(factorizations) == rep.iterations + 1
+        assert eliminations == []
 
     def test_reduced_solution_is_y_independent(self):
         m = build_fracture_slab_mesh(1.0, 0.1, 32, 8)
