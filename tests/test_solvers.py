@@ -114,10 +114,10 @@ class TestForchheimer:
         from scipy.integrate import quad
         p = FlowParams(alpha_f=alpha, beta=beta)
         # the integrand turns from linear to sqrt-like near alpha^2 / beta:
-        # break the interval there for the adaptive rule
+        # break the interval geometrically from there on for the adaptive rule
         knee = alpha ** 2 / beta if beta > 0 else np.inf
-        points = [c * knee for c in (1e-2, 1.0, 1e2) if c * knee < s]
-        exact, _ = quad(lambda x: x * fbeta_iso(x, p), 0.0, s, points=points or None,
+        points = np.geomspace(1e-3 * knee, s, 24)[:-1] if 1e-3 * knee < s else None
+        exact, _ = quad(lambda x: x * fbeta_iso(x, p), 0.0, s, points=points,
                         epsabs=0.0, epsrel=1e-12, limit=200)
         assert _forchheimer(s, p)[2] == pytest.approx(exact, rel=1e-10)
 
