@@ -7,7 +7,7 @@ import numpy as np
 from fracflow import FlowParams, fbeta_iso, forchheimer_inverse_1d, monotonicity_gap
 
 p = FlowParams(alpha_f=1.0, beta=0.5)
-print(f"alpha = {p.alpha_f}, beta = {p.beta}, linear mobility k_f = {p.k_f}")
+print(f"alpha = {p.alpha_f}, beta = {p.beta}, linear mobility 1/alpha = {1.0 / p.alpha_f}")
 
 # At zero gradient the mobility equals 1/alpha (the Darcy value); as the
 # gradient grows, inertial drag chokes the flow and the mobility decays.

@@ -27,7 +27,7 @@ print(f"mesh: {mesh.num_nodes} nodes, {mesh.num_triangles} triangles, "
 params = FlowParams(alpha_f=0.05, beta=1e-3, k_p=1.0)
 Q = 1000.0
 field, report = solve_pss(mesh, params, Q)
-print(f"Picard converged in {report.iterations} iterations "
+print(f"Newton converged in {report.iterations} iterations "
       f"(residual {report.final_residual:.2e})")
 
 # The drawdown is the volume average of the profile (the well is pinned
@@ -37,7 +37,7 @@ print(f"drawdown PDD = {pdd:.3f}, capacity J_p = {Q / pdd:.4f}")
 
 # Discrete conservation: the entire production exits through the well
 # node, visible as the residual of the unconstrained equation there.
-r = (assemble_A(mesh, params).matrix @ field.values
+r = (assemble_A(mesh, params) @ field.values
      + assemble_F_residual(mesh, params, field)
      + assemble_B_in(mesh) * Q)
 print(f"well-node residual = {r[mesh.well_node]:.6f} (expected {-Q})")

@@ -9,7 +9,6 @@ coefficient, and numerical checks of the model-reduction error bounds.
 """
 
 from .assembly import (
-    LinearSystem,
     ScalarField,
     assemble_A,
     assemble_B_in,
@@ -67,7 +66,6 @@ from .solvers import (
     SolveReport,
     condense_bulk,
     pss_energy,
-    solve_linear,
     solve_pss,
     solve_slab,
 )

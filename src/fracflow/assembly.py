@@ -7,21 +7,22 @@ needed.  Gradients of P1 fields are constant per element, which makes the
 one-point (centroid) evaluation of the nonlinear mobility exact in its
 argument.
 
-Operator conventions, with basis functions phi_i and aperture h:
+Operator conventions, with basis functions phi_i, aperture h and the
+Darcy-limit fracture mobility 1/alpha_f:
 
 * ``assemble_A``:      A_ij = int_bulk k_p grad phi_i . grad phi_j
-                              + h int_frac k_f dphi_i/dx dphi_j/dx
+                              + (h / alpha_f) int_frac dphi_i/dx dphi_j/dx
 * ``assemble_B_in``:   B_i  = -(int_bulk phi_i + h int_frac phi_i) / vol,
                        vol = |bulk| + h L
-* ``assemble_F_residual``: F_i = h int_frac (f(|W_x|) - k_f) W_x dphi_i/dx
+* ``assemble_F_residual``: F_i = h int_frac (f(|W_x|) - 1/alpha_f) W_x dphi_i/dx
 * ``output_C``:        volume average of W including the fracture volume
 
 so the coupled production problem reads  A z + F(z) + B_in Q = 0  with the
 well node pinned to zero.
 
-The full slab problem is ``slab_frozen_matrix`` against ``slab_rhs``
-(``assemble_slab_residual``).  `fracflow.solvers.solve_slab` solves it by
-Newton's method on the free nodes, with element matrices from
+``assemble_slab_residual`` is the full slab problem, K(W) W - ``slab_rhs``
+with K the stiffness of the slab mobility at W.  `fracflow.solvers.solve_slab`
+solves it by Newton's method on the free nodes, with element matrices from
 ``_local_stiffness`` (scalar or symmetric 2x2 tensor coefficients) filled
 into a sparsity pattern built once (``_free_block_assembler``); its 1-D
 reduction is solved on its line.
@@ -40,7 +41,6 @@ from .kernels import FlowParams, fbeta_iso
 from .meshing import Mesh, TAG_FRAC_MINUS, TAG_FRAC_PLUS, TAG_WELL
 
 __all__ = [
-    "LinearSystem",
     "ScalarField",
     "assemble_A",
     "assemble_B_in",
@@ -67,16 +67,6 @@ class ScalarField:
         if not np.all(np.isfinite(v)):
             raise AssemblyError("field contains non-finite values")
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Symmetric sparse system plus Dirichlet constraints to be applied."""
-
-    matrix: sparse.csr_matrix
-    rhs: np.ndarray
-    constrained_nodes: list
-    mesh: Mesh
 
 
 def _values(W) -> np.ndarray:
@@ -204,22 +194,20 @@ def fracture_edge_gradients(m: Mesh, W) -> np.ndarray:
     return (w[edges[:, 1]] - w[edges[:, 0]]) / ell
 
 
-def assemble_A(m: Mesh, p: FlowParams, aperture: float | None = None) -> LinearSystem:
+def assemble_A(m: Mesh, p: FlowParams, aperture: float | None = None) -> sparse.csr_matrix:
     """Linear operator of the coupled model: Darcy bulk plus the
-    aperture-weighted linear fracture line term.
+    aperture-weighted fracture line term at the mobility 1/alpha_f.
 
-    The operator annihilates constants; positive definiteness comes from
-    pinning the well node, which is recorded as the system's constraint.
+    The operator annihilates constants; it is positive definite on the
+    fields with the well node pinned to zero.
     """
     if len(m.fracture_edges) == 0:
         raise AssemblyError("mesh has no fracture edges; cannot assemble the coupled operator")
     h = m.aperture if aperture is None else aperture
     A = _bulk_stiffness(m, p.k_p)
     if h != 0.0:
-        ell = _edge_geometry(m, m.fracture_edges)
-        A = A + _line_stiffness(m, np.full(len(ell), h * p.k_f))
-    n = m.num_nodes
-    return LinearSystem(A, np.zeros(n), [(m.well_node, 0.0)], m)
+        A = A + _line_stiffness(m, np.full(len(m.fracture_edges), h / p.alpha_f))
+    return A
 
 
 def _bulk_load(m: Mesh) -> np.ndarray:
@@ -253,7 +241,7 @@ def assemble_F_residual(m: Mesh, p: FlowParams, W, aperture: float | None = None
     if h == 0.0 or len(m.fracture_edges) == 0:
         return F
     gx = fracture_edge_gradients(m, W)
-    coef = h * (fbeta_iso(np.abs(gx), p) - p.k_f) * gx
+    coef = h * (fbeta_iso(np.abs(gx), p) - 1.0 / p.alpha_f) * gx
     np.add.at(F, m.fracture_edges[:, 0], -coef)
     np.add.at(F, m.fracture_edges[:, 1], +coef)
     return F
@@ -298,18 +286,6 @@ def apply_constraints(A: sparse.csr_matrix, b: np.ndarray, constraints):
 _FLAVORS = ("isotropic", "anisotropic")
 
 
-def _slab_coefficients(m: Mesh, p: FlowParams, W, flavor: str):
-    """Per-triangle mobility for the frozen slab operator: a scalar
-    (isotropic) or the diagonal tensor diag(fbeta_iso(|W_x|), aniso_k)."""
-    g = triangle_gradients(m, W)
-    if flavor == "isotropic":
-        return fbeta_iso(np.linalg.norm(g, axis=1), p)
-    c = np.zeros((len(g), 2, 2))
-    c[:, 0, 0] = fbeta_iso(np.abs(g[:, 0]), p)
-    c[:, 1, 1] = p.aniso_k
-    return c
-
-
 def _check_slab(m: Mesh, flavor: str):
     if flavor not in _FLAVORS:
         raise AssemblyError(f"unknown slab flavor {flavor!r}")
@@ -352,21 +328,26 @@ def slab_rhs(m: Mesh, q_plus, q_minus, q_over_v: float) -> np.ndarray:
     return load
 
 
-def slab_frozen_matrix(m: Mesh, p: FlowParams, W, flavor: str) -> sparse.csr_matrix:
-    _check_slab(m, flavor)
-    return _bulk_stiffness(m, _slab_coefficients(m, p, W, flavor))
-
-
 def assemble_slab_residual(m: Mesh, p: FlowParams, W, flavor: str,
                            q_plus, q_minus, q_over_v: float) -> np.ndarray:
-    """Residual of the nonlinear full slab weak form at the state W.
+    """Residual K(W) W - rhs of the nonlinear full slab weak form at W.
 
-    Rows of nodes on the pressure-pinned boundary report W - 0 instead,
-    so the residual of an exact discrete solution vanishes identically.
+    K(W) is the stiffness of the per-triangle mobility at W: the scalar
+    fbeta_iso(|grad W|) (isotropic) or the tensor diag(fbeta_iso(|W_x|),
+    aniso_k) (anisotropic).  Rows of nodes on the pressure-pinned boundary
+    report W - 0 instead, so the residual of an exact discrete solution
+    vanishes identically.
     """
+    _check_slab(m, flavor)
     w = _values(W)
-    K = slab_frozen_matrix(m, p, W, flavor)
-    r = K @ w - slab_rhs(m, q_plus, q_minus, q_over_v)
+    g = triangle_gradients(m, w)
+    if flavor == "isotropic":
+        coef = fbeta_iso(np.linalg.norm(g, axis=1), p)
+    else:
+        coef = np.zeros((len(g), 2, 2))
+        coef[:, 0, 0] = fbeta_iso(np.abs(g[:, 0]), p)
+        coef[:, 1, 1] = p.aniso_k
+    r = _bulk_stiffness(m, coef) @ w - slab_rhs(m, q_plus, q_minus, q_over_v)
     fixed = dirichlet_nodes(m)
     r[fixed] = w[fixed]
     return r

@@ -38,8 +38,6 @@ class FlowParams:
         fracture; the Darcy limit of the fracture mobility is 1/alpha_f.
     beta: quadratic (Forchheimer) drag coefficient in the fracture.
     k_p: mobility of the porous block (Darcy only).
-    k_f: linear part of the fracture mobility.  Defaults to 1/alpha_f,
-        the exact zero-gradient limit of fbeta_iso.
     aniso_k: transverse mobility in the anisotropic fracture tensor.
         Defaults to 1/alpha_f, which is the value the anisotropic
         error bound is calibrated to.
@@ -48,7 +46,6 @@ class FlowParams:
     alpha_f: float = 1.0
     beta: float = 0.0
     k_p: float = 1.0
-    k_f: float = field(default=None)  # type: ignore[assignment]
     aniso_k: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -58,12 +55,8 @@ class FlowParams:
             raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
         if not (np.isfinite(self.k_p) and self.k_p > 0):
             raise ValueError(f"k_p must be a positive finite real, got {self.k_p}")
-        if self.k_f is None:
-            object.__setattr__(self, "k_f", 1.0 / self.alpha_f)
         if self.aniso_k is None:
             object.__setattr__(self, "aniso_k", 1.0 / self.alpha_f)
-        if not (np.isfinite(self.k_f) and self.k_f > 0):
-            raise ValueError(f"k_f must be a positive finite real, got {self.k_f}")
         if not (np.isfinite(self.aniso_k) and self.aniso_k > 0):
             raise ValueError(f"aniso_k must be a positive finite real, got {self.aniso_k}")
 
@@ -133,8 +126,8 @@ def monotonicity_gap(eta1, eta2, p: FlowParams):
     """Slack in the strict-monotonicity bound of the flux map.
 
     Returns (f(|e1|)e1 - f(|e2|)e2)(e1 - e2) - f(max(|e1|,|e2|))(e1-e2)^2 / 2
-    with f = fbeta_iso.  Nonnegative for every pair, which is what makes
-    frozen-coefficient iteration on this nonlinearity stable.
+    with f = fbeta_iso.  Nonnegative for every pair: the flux map is
+    strictly monotone.
     """
     e1 = np.asarray(eta1, dtype=float)
     e2 = np.asarray(eta2, dtype=float)

@@ -216,17 +216,9 @@ def build_reservoir_mesh(spec: DomainSpec) -> Mesh:
     away from the fracture line and from the well grow by spec.grading.
     For disks the outer boundary is the inscribed polygon with
     ceil(2*pi*radius/resolution) vertices and the well must sit at the
-    center.
+    center.  It is the family of the one length spec.fracture_length.
     """
-    L = spec.fracture_length
-    nf = int(round(L / spec.resolution))
-    if nf < 1:
-        raise GeometryError(
-            f"resolution {spec.resolution} too coarse to resolve fracture length {L}")
-    offsets = (L / nf) * np.arange(nf + 1)
-    if spec.shape == "rectangle":
-        return _rectangle_mesh(spec, offsets)
-    return _disk_mesh(spec, offsets)
+    return build_reservoir_mesh_family(spec, [spec.fracture_length])[0]
 
 
 def build_reservoir_mesh_family(spec: DomainSpec, lengths) -> list[Mesh]:

@@ -72,7 +72,7 @@ def step_response(m: Mesh, p: FlowParams, aperture: float | None = None, *,
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p, h)
     q = 1.0 / line.volume
-    x = _pinned_solve(line.operator(c.S, np.full(len(line.ell), h * p.k_f)),
+    x = _pinned_solve(line.operator(c.S, np.full(len(line.ell), h / p.alpha_f)),
                       q * line.weights)
     return c.full_field(m, x, q), c.output(line, x, q)
 
@@ -98,7 +98,7 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
     h = m.aperture if aperture is None else aperture
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p, h)
-    A_lin = line.operator(c.S, np.full(len(line.ell), h * p.k_f))
+    A_lin = line.operator(c.S, np.full(len(line.ell), h / p.alpha_f))
     # gain of the step response, without rebuilding its nodal field
     q1 = 1.0 / line.volume
     G = c.output(line, _pinned_solve(A_lin, q1 * line.weights), q1)

@@ -48,7 +48,6 @@ from scipy import sparse
 from scipy.sparse.linalg import cg, splu
 
 from .assembly import (
-    LinearSystem,
     ScalarField,
     _at_points,
     _bulk_load,
@@ -58,6 +57,8 @@ from .assembly import (
     _free_block_assembler,
     _local_stiffness,
     _tri_geometry,
+    # not called here; it stays bound because the tracer's self-test
+    # (perfbench/tests/test_tracer.py) reads fracflow.solvers.apply_constraints
     apply_constraints,
     assemble_B_in,
     dirichlet_nodes,
@@ -70,7 +71,7 @@ from .kernels import FlowParams
 from .meshing import Mesh
 
 __all__ = ["BulkCondensation", "SolveReport", "TraceLine", "condense_bulk",
-           "solve_linear", "solve_pss", "solve_slab", "pss_energy"]
+           "solve_pss", "solve_slab", "pss_energy"]
 
 
 @dataclass(frozen=True)
@@ -99,17 +100,6 @@ def _solve_spd(A: sparse.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
     b = b / scale
     norm_b = np.linalg.norm(b)
     norm_A = sparse.linalg.norm(A)
-
-    def accepted(x):
-        # residual relative to b; machine-level backward error is also
-        # fine, but only alongside a small relative residual so that a
-        # near-singular solve with an exploding x cannot sneak through
-        r = float(np.linalg.norm(b - A @ x))
-        rel = r / norm_b
-        backward = r / (norm_b + norm_A * np.linalg.norm(x))
-        return (np.all(np.isfinite(x))
-                and (rel <= tol or (backward <= 1e-14 and rel <= 1e-6)))
-
     try:
         lu = splu(A.tocsc())
     except RuntimeError as exc:  # singular factorization
@@ -117,28 +107,21 @@ def _solve_spd(A: sparse.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
                           [("direct", str(exc))]) from exc
     x = lu.solve(b)
     r = b - A @ x
-    res = np.linalg.norm(r) / norm_b
-    if np.isfinite(res) and res > tol:
+    norm_r = np.linalg.norm(r)
+    if np.isfinite(norm_r / norm_b) and norm_r / norm_b > tol:
         x = x + lu.solve(r)
-        res = np.linalg.norm(b - A @ x) / norm_b
-    if not accepted(x):
+        norm_r = np.linalg.norm(b - A @ x)
+    # residual relative to b; machine-level backward error is also fine,
+    # but only alongside a small relative residual so that a near-singular
+    # solve with an exploding x cannot sneak through
+    rel = float(norm_r / norm_b)
+    backward = norm_r / (norm_b + norm_A * np.linalg.norm(x))
+    if not (np.all(np.isfinite(x))
+            and (rel <= tol or (backward <= 1e-14 and rel <= 1e-6))):
         raise SolverError(
-            f"linear solve failed to reach relative residual {tol:g} (got {res:g})",
-            [("direct", float(res))])
+            f"linear solve failed to reach relative residual {tol:g} (got {rel:g})",
+            [("direct", rel)])
     return x * scale
-
-
-def solve_linear(sys: LinearSystem, tol: float = 1e-10):
-    """Solve the constrained SPD system to the given relative residual.
-
-    Returns a ScalarField when the system carries a mesh, otherwise the
-    raw solution vector.
-    """
-    A, b = apply_constraints(sys.matrix, sys.rhs, sys.constrained_nodes)
-    x = _solve_spd(A, b, tol)
-    if sys.mesh is None:
-        return x
-    return ScalarField(x, sys.mesh)
 
 
 def _forchheimer(s, p: FlowParams):
@@ -186,8 +169,8 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
     beta = 0, and short of the solution's gradients otherwise (f <=
     1/alpha), from where Newton on the concave flux s f(s) does not
     overshoot, in one dimension.  A start beyond them (such as a linear
-    surrogate with a small k_f) can make full steps flip the gradient's
-    sign for many steps.
+    solve at a mobility far below 1/alpha) can make full steps flip the
+    gradient's sign for many steps.
 
     A step's length halves from 1 until E falls by at least 1e-4 of the
     first-order prediction, or until both the predicted and the actual

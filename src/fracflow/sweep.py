@@ -122,7 +122,6 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
         "J_star": float(j_star),
         "alpha_f": p.alpha_f,
         "k_p": p.k_p,
-        "k_f": p.k_f,
         "setpoint_tol": tol,
         "max_outer": max_outer,
         "picard_tol": picard_tol,

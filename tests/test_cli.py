@@ -118,12 +118,20 @@ def test_theta_key_exits_2(tmp_path, capsys):
     assert "unknown key 'theta'" in capsys.readouterr().err
 
 
+def test_k_f_key_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "command": "solve", "domain": DOMAIN,
+        "params": dict(PARAMS, k_f=20.0)})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'k_f' in section 'params'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, section", [
     ("inverse", {"inverse": {"q_baseline": 1000.0}}),
     ("sweep", {"sweep": {"lengths": [4.0, 8.0], "betas": [1e-3]}}),
 ])
 def test_max_picard_reaches_the_setpoint(tmp_path, capsys, command, section):
-    # beta > 0 needs more than one Picard step, so a budget of 1 must fail
+    # beta > 0 needs more than one Newton step, so a budget of 1 must fail
     cfg = write_cfg(tmp_path, dict({
         "command": command, "domain": DOMAIN, "params": PARAMS,
         "solver": {"max_picard": 1}}, **section))

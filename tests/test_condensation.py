@@ -1,7 +1,7 @@
 """The bulk condensed onto the fracture trace against the full sparse system.
 
 The reference solves assemble the whole reservoir system and solve it with
-`solve_linear`; the condensed solves must reproduce them to rounding, on
+the well pinned (`solve_pinned`); the condensed solves must reproduce them to rounding, on
 rectangles and disks, with the fracture tip inside or on the outer
 boundary, at zero aperture and at zero rate.
 """
@@ -15,13 +15,11 @@ import fracflow.solvers
 from fracflow import (
     DomainSpec,
     FlowParams,
-    LinearSystem,
     SolverError,
     baseline_pdd,
     build_reservoir_mesh,
     build_reservoir_mesh_family,
     run_sweep,
-    solve_linear,
     solve_pss,
     solve_setpoint,
     step_response,
@@ -37,6 +35,7 @@ from fracflow.assembly import (
 )
 from fracflow.kernels import fbeta_iso
 from fracflow.solvers import condense_bulk
+from pinned_solve import solve_pinned
 
 ALPHA = 0.05
 RTOL = 1e-9
@@ -71,7 +70,7 @@ def sparse_frozen_solve(m, p, z, Q, h):
         gx = fracture_edge_gradients(m, z)
         A = A + _line_stiffness(m, h * fbeta_iso(np.abs(gx), p))
     b = -assemble_B_in(m, aperture=h) * Q
-    return solve_linear(LinearSystem(A, b, [(m.well_node, 0.0)], m), tol=1e-13)
+    return solve_pinned(A, b, m.well_node, tol=1e-13)
 
 
 def check_against_sparse(m, p, Q, aperture=None):
@@ -82,10 +81,10 @@ def check_against_sparse(m, p, Q, aperture=None):
         assert np.abs(z.values).max() == 0.0
         return
     # z is the fixed point of the frozen sparse system ...
-    assert rel(z.values, sparse_frozen_solve(m, p, z, Q, h).values) <= RTOL
+    assert rel(z.values, sparse_frozen_solve(m, p, z, Q, h)) <= RTOL
     # ... and solves the full nonlinear system
     BQ = assemble_B_in(m, aperture=h) * Q
-    r = (assemble_A(m, p, aperture=h).matrix @ z.values
+    r = (assemble_A(m, p, aperture=h) @ z.values
          + assemble_F_residual(m, p, z, aperture=h) + BQ)
     r[m.well_node] = 0.0
     s = np.abs(BQ).max()
@@ -94,10 +93,8 @@ def check_against_sparse(m, p, Q, aperture=None):
 
 def check_step_response(m, p):
     X, G = step_response(m, p)
-    sys_A = assemble_A(m, p)
-    ref = solve_linear(LinearSystem(sys_A.matrix, -assemble_B_in(m),
-                                    sys_A.constrained_nodes, m), tol=1e-13)
-    assert rel(X.values, ref.values) <= RTOL
+    ref = solve_pinned(assemble_A(m, p), -assemble_B_in(m), m.well_node, tol=1e-13)
+    assert rel(X.values, ref) <= RTOL
     assert G == pytest.approx(output_C(m, ref), rel=RTOL)
 
 
@@ -163,10 +160,9 @@ def test_zero_aperture_is_pure_darcy(meshes):
     check_against_sparse(m, p, 1000.0, aperture=0.0)
     z, rep = solve_pss(m, p, 1000.0, aperture=0.0)
     assert rep.iterations == 1
-    ref = solve_linear(LinearSystem(_bulk_stiffness(m, p.k_p),
-                                    -assemble_B_in(m, aperture=0.0) * 1000.0,
-                                    [(m.well_node, 0.0)], m))
-    assert rel(z.values, ref.values) <= RTOL
+    ref = solve_pinned(_bulk_stiffness(m, p.k_p),
+                       -assemble_B_in(m, aperture=0.0) * 1000.0, m.well_node)
+    assert rel(z.values, ref) <= RTOL
     assert baseline_pdd(m, p, 1000.0) == pytest.approx(
         output_C(m, ref, aperture=0.0), rel=RTOL)
 

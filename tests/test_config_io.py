@@ -37,7 +37,7 @@ class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         spec = parse_config(write_json(tmp_path, MINIMAL))
         assert spec.solver.tol == 1e-9
-        assert spec.params.k_f == 1.0 / spec.params.alpha_f
+        assert spec.params.aniso_k == 1.0 / spec.params.alpha_f
         assert spec.domain.grading == 1.3
         assert spec.output.dir == "out"
 
@@ -47,9 +47,16 @@ class TestParseConfig:
             parse_config_data(dict(MINIMAL, threads=1))
 
     def test_theta_key_rejected(self):
-        # Picard damping is automatic; the retired damping knob is an unknown key
+        # Newton's line search picks every step length; the retired
+        # damping knob is an unknown key
         with pytest.raises(ConfigError, match="unknown key 'theta' in section 'solver'"):
             parse_config_data(dict(MINIMAL, solver={"theta": 0.5}))
+
+    def test_k_f_key_rejected(self):
+        # the linear fracture mobility is 1/alpha_f; the retired k_f
+        # surrogate is an unknown key
+        with pytest.raises(ConfigError, match="unknown key 'k_f' in section 'params'"):
+            parse_config_data(dict(MINIMAL, params={"alpha_f": 0.05, "k_f": 20.0}))
 
     def test_negative_beta_named(self, tmp_path):
         bad = dict(MINIMAL, params={"beta": -1.0})

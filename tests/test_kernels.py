@@ -14,15 +14,13 @@ from fracflow import (
 
 def test_flowparams_defaults_linearize_at_zero_gradient():
     p = FlowParams(alpha_f=4.0, beta=2.0)
-    assert p.k_f == 0.25
     assert p.aniso_k == 0.25
-    q = FlowParams(alpha_f=4.0, beta=2.0, k_f=7.0, aniso_k=3.0)
-    assert q.k_f == 7.0 and q.aniso_k == 3.0
+    assert FlowParams(alpha_f=4.0, beta=2.0, aniso_k=3.0).aniso_k == 3.0
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(alpha_f=0.0), dict(alpha_f=-1.0), dict(beta=-1.0),
-    dict(k_p=0.0), dict(k_f=-2.0), dict(aniso_k=0.0),
+    dict(k_p=0.0), dict(aniso_k=float("nan")), dict(aniso_k=0.0),
     dict(alpha_f=float("nan")), dict(beta=float("inf")),
 ])
 def test_flowparams_rejects_bad_values(kwargs):

@@ -71,7 +71,7 @@ class TestStepResponse:
 
     def test_doubling_mobilities_halves_gain(self, rect_mesh):
         p1 = FlowParams(alpha_f=0.05, k_p=1.0)
-        # doubled k_f comes from halved alpha_f
+        # the doubled fracture mobility 1/alpha_f comes from halved alpha_f
         p2 = FlowParams(alpha_f=0.025, k_p=2.0)
         _, G1 = step_response(rect_mesh, p1)
         _, G2 = step_response(rect_mesh, p2)
@@ -150,19 +150,17 @@ class TestSetpoint:
         assert res.outer_iterations == 1
         assert res.PDD == pytest.approx(baseline_pdd(rect_mesh, p, res.Q), rel=1e-12)
 
-    @pytest.mark.parametrize("k_f", [None, 5.0, 100.0])
-    def test_strong_drag_converges_in_few_steps(self, family, k_f):
+    def test_strong_drag_converges_in_few_steps(self, family):
         meshes, c = family
         m = meshes[LENGTHS.index(20.0)]
         target = baseline_pdd(m, FlowParams(alpha_f=ALPHA), 1000.0, condensation=c)
         for beta in (0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
-            res = solve_setpoint(m, FlowParams(alpha_f=ALPHA, beta=beta, k_f=k_f),
+            res = solve_setpoint(m, FlowParams(alpha_f=ALPHA, beta=beta),
                                  target, condensation=c)
             assert res.outer_iterations <= 6, (beta, res.history)
 
 
 betas = st.one_of(st.just(0.0), st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e))
-k_fs = st.sampled_from([None, 5.0, 100.0])
 lengths = st.sampled_from(range(len(LENGTHS)))
 
 
@@ -182,31 +180,31 @@ def outer_steps_in_bracket(history, target):
 
 class TestSetpointProperties:
     @settings(max_examples=60, deadline=None)
-    @given(beta=betas, j=lengths, log_target=st.floats(-2.0, 5.0), k_f=k_fs)
-    def test_converges_inside_the_bracket(self, family, beta, j, log_target, k_f):
+    @given(beta=betas, j=lengths, log_target=st.floats(-2.0, 5.0))
+    def test_converges_inside_the_bracket(self, family, beta, j, log_target):
         meshes, c = family
         target = 10.0 ** log_target
-        res = solve_setpoint(meshes[j], FlowParams(alpha_f=ALPHA, beta=beta, k_f=k_f),
+        res = solve_setpoint(meshes[j], FlowParams(alpha_f=ALPHA, beta=beta),
                              target, condensation=c)
         assert res.outer_iterations <= 8
         assert abs(res.PDD - target) <= 1e-6 * target
         assert outer_steps_in_bracket(res.history, target), res.history
 
     @settings(max_examples=25, deadline=None)
-    @given(beta=betas, j=lengths, k_f=k_fs)
-    def test_drawdown_increases_with_rate(self, family, beta, j, k_f):
+    @given(beta=betas, j=lengths)
+    def test_drawdown_increases_with_rate(self, family, beta, j):
         meshes, c = family
-        p = FlowParams(alpha_f=ALPHA, beta=beta, k_f=k_f)
+        p = FlowParams(alpha_f=ALPHA, beta=beta)
         pdd = [output_C(meshes[j], solve_pss(meshes[j], p, Q, condensation=c)[0])
                for Q in np.logspace(0.0, 5.0, 9)]
         assert np.all(np.diff(pdd) > 0), pdd
 
     @settings(max_examples=25, deadline=None)
-    @given(b1=betas, b2=betas, j=lengths, log_target=st.floats(0.0, 4.0), k_f=k_fs)
-    def test_capacity_falls_with_drag(self, family, b1, b2, j, log_target, k_f):
+    @given(b1=betas, b2=betas, j=lengths, log_target=st.floats(0.0, 4.0))
+    def test_capacity_falls_with_drag(self, family, b1, b2, j, log_target):
         meshes, c = family
         lo, hi = sorted((b1, b2))
-        J = [solve_setpoint(meshes[j], FlowParams(alpha_f=ALPHA, beta=b, k_f=k_f),
+        J = [solve_setpoint(meshes[j], FlowParams(alpha_f=ALPHA, beta=b),
                             10.0 ** log_target, condensation=c).J_p for b in (lo, hi)]
         # each J is exact to the set-point tolerance of 1e-6
         assert J[1] <= J[0] * (1.0 + 4e-6)
