@@ -95,22 +95,16 @@ def write_reduction_csv(reports, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _vtk_header(m: Mesh, title: str) -> list:
-    lines = [
-        "# vtk DataFile Version 3.0",
-        title,
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {m.num_nodes} double",
-    ]
+def _vtk_header(m: Mesh, title: str) -> str:
+    """Points and cells of m, each section formatted in one pass."""
+    n, nt = m.num_nodes, m.num_triangles
     # Python floats and ints format as NumPy scalars do, only faster
-    lines.extend(f"{x:.10g} {y:.10g} 0" for x, y in m.nodes.tolist())
-    nt = m.num_triangles
-    lines.append(f"CELLS {nt} {4 * nt}")
-    lines.extend(f"3 {a} {b} {c}" for a, b, c in m.triangles.tolist())
-    lines.append(f"CELL_TYPES {nt}")
-    lines.extend(["5"] * nt)
-    return lines
+    return (f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n"
+            + ("%.10g %.10g 0\n" * n) % tuple(m.nodes.ravel().tolist())
+            + f"CELLS {nt} {4 * nt}\n"
+            + ("3 %d %d %d\n" * nt) % tuple(m.triangles.ravel().tolist())
+            + f"CELL_TYPES {nt}\n" + "5\n" * nt)
 
 
 def write_field_vtk(m: Mesh, W, path) -> None:
@@ -119,17 +113,15 @@ def write_field_vtk(m: Mesh, W, path) -> None:
     if values.shape != (m.num_nodes,):
         raise ValueError(
             f"field has {values.shape} values for a mesh with {m.num_nodes} nodes")
-    lines = _vtk_header(m, "fracflow pressure field")
-    lines.append(f"POINT_DATA {m.num_nodes}")
-    lines.append("SCALARS pressure double 1")
-    lines.append("LOOKUP_TABLE default")
-    lines.extend(f"{v:.10g}" for v in values.tolist())
+    text = (_vtk_header(m, "fracflow pressure field")
+            + f"POINT_DATA {m.num_nodes}\nSCALARS pressure double 1\n"
+            "LOOKUP_TABLE default\n"
+            + ("%.10g\n" * m.num_nodes) % tuple(values.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def write_mesh_vtk(m: Mesh, path) -> None:
     """Bare mesh dump for inspection in standard viewers."""
-    lines = _vtk_header(m, "fracflow mesh")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_vtk_header(m, "fracflow mesh"))

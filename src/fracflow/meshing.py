@@ -11,7 +11,9 @@ Two generators:
   [0, L] x [-h/2, h/2] used when comparing the full fracture flow
   against its 1-D reduction, with the four boundary groups tagged.
 
-Meshes are immutable once built and safe to share across threads.
+Meshes are immutable once built.  Rectangle and slab meshes are tensor
+grids and record their grid shape, from which the bulk condensation
+reads a fill-reducing order of the nodes.
 """
 
 from __future__ import annotations
@@ -97,6 +99,8 @@ class Mesh:
     boundary_edges: tag -> (e, 2) node pairs; tags "outer", "frac_plus",
         "frac_minus", "well", "frac_out".
     aperture: fracture thickness carried along for assembly.
+    grid_shape: (ny, nx) of a tensor-grid mesh, whose node iy * nx + ix
+        lies on the iy-th y line and the ix-th x line; None for disks.
     """
 
     nodes: np.ndarray
@@ -105,6 +109,7 @@ class Mesh:
     well_node: int
     boundary_edges: dict = field(default_factory=dict)
     aperture: float = 0.0
+    grid_shape: tuple[int, int] | None = None
 
     @property
     def num_nodes(self) -> int:
@@ -120,14 +125,8 @@ class Mesh:
         Used by sweeps so that every fracture length shares one node set
         and the discrete point-well behavior cancels in comparisons.
         """
-        return Mesh(
-            nodes=self.nodes,
-            triangles=self.triangles,
-            fracture_edges=np.asarray(fracture_edges, dtype=int).reshape(-1, 2),
-            well_node=self.well_node,
-            boundary_edges=self.boundary_edges,
-            aperture=self.aperture,
-        )
+        return replace(self, fracture_edges=np.asarray(
+            fracture_edges, dtype=int).reshape(-1, 2))
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,9 @@ def _grid_mesh(xs, ys, frac_x_lo=None, frac_x_hi=None, frac_y=None,
     if frac_y is not None:
         iy0 = int(np.argmin(np.abs(ys - frac_y)))
         tol = 1e-12 * max(1.0, abs(frac_x_hi - frac_x_lo))
-        pairs = []
-        for ix in range(nx - 1):
-            xm = 0.5 * (xs[ix] + xs[ix + 1])
-            if frac_x_lo - tol < xm < frac_x_hi + tol:
-                pairs.append((nid(iy0, ix), nid(iy0, ix + 1)))
-        fracture_edges = np.array(pairs, dtype=int).reshape(-1, 2)
+        xm = 0.5 * (xs[:-1] + xs[1:])
+        ix = np.flatnonzero((frac_x_lo - tol < xm) & (xm < frac_x_hi + tol))
+        fracture_edges = np.column_stack([nid(iy0, ix), nid(iy0, ix + 1)])
 
     boundary = {}
     bottom = np.column_stack([np.arange(nx - 1), np.arange(1, nx)])
@@ -289,7 +285,8 @@ def _rectangle_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
         xs, ys, frac_x_lo=wx, frac_x_hi=wx + L, frac_y=wy)
     well_node = int(np.argmin(np.hypot(nodes[:, 0] - wx, nodes[:, 1] - wy)))
     _check_orientation(nodes, triangles)
-    return Mesh(nodes, triangles, frac_edges, well_node, boundary, spec.aperture)
+    return Mesh(nodes, triangles, frac_edges, well_node, boundary, spec.aperture,
+                (len(ys), len(xs)))
 
 
 def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
@@ -307,31 +304,24 @@ def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     nb = int(np.ceil(2.0 * np.pi * R / spec.resolution))
     theta = 2.0 * np.pi * np.arange(nb) / nb
 
-    rings = [np.column_stack([r * np.cos(theta), r * np.sin(theta)]) for r in radii]
-    nodes = np.vstack([np.zeros((1, 2))] + rings)
+    ring = np.column_stack([np.cos(theta), np.sin(theta)])
+    nodes = np.vstack([np.zeros((1, 2)), (radii[:, None, None] * ring).reshape(-1, 2)])
 
-    def nid(j, k):
-        return 1 + j * nb + (k % nb)
-
-    tris = []
-    for k in range(nb):
-        tris.append((0, nid(0, k), nid(0, k + 1)))
-    for j in range(len(radii) - 1):
-        for k in range(nb):
-            a, b = nid(j, k), nid(j, k + 1)
-            aa, bb = nid(j + 1, k), nid(j + 1, k + 1)
-            tris.append((a, aa, bb))
-            tris.append((a, bb, b))
-    triangles = np.array(tris, dtype=int)
+    # node 1 + j * nb + k is the k-th node of ring j; k + 1 wraps around
+    k = np.arange(nb)
+    a = 1 + nb * np.arange(len(radii))[:, None] + k
+    b = a - k + (k + 1) % nb
+    # a fan around the center, then two triangles per ring cell
+    fan = np.column_stack([np.zeros(nb, dtype=int), a[0], b[0]])
+    cells = np.stack([np.stack([a[:-1], a[1:], b[1:]], axis=-1),
+                      np.stack([a[:-1], b[1:], b[:-1]], axis=-1)], axis=2)
+    triangles = np.concatenate([fan, cells.reshape(-1, 3)])
 
     # fracture runs along theta = 0, where sin is exactly zero
     n_frac_rings = int(np.sum(radii <= L * (1.0 + 1e-12)))
-    frac_nodes = [0] + [nid(j, 0) for j in range(n_frac_rings)]
-    frac_edges = np.array([(frac_nodes[i], frac_nodes[i + 1])
-                           for i in range(len(frac_nodes) - 1)], dtype=int)
-    jlast = len(radii) - 1
-    boundary = {TAG_OUTER: np.array([(nid(jlast, k), nid(jlast, k + 1))
-                                     for k in range(nb)], dtype=int)}
+    frac_nodes = np.concatenate([[0], a[:n_frac_rings, 0]])
+    frac_edges = np.column_stack([frac_nodes[:-1], frac_nodes[1:]])
+    boundary = {TAG_OUTER: np.column_stack([a[-1], b[-1]])}
     _check_orientation(nodes, triangles)
     return Mesh(nodes, triangles, frac_edges, 0, boundary, spec.aperture)
 
@@ -354,7 +344,7 @@ def build_fracture_slab_mesh(L: float, h: float, nx: int, ny: int) -> Mesh:
     well_node = int(left[np.argmin(np.abs(nodes[left, 1]))])
     _check_orientation(nodes, triangles)
     return Mesh(nodes, triangles, np.empty((0, 2), dtype=int), well_node,
-                boundary, h)
+                boundary, h, (ny + 1, nx + 1))
 
 
 def _signed_areas(nodes, triangles):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 import fracflow.solvers
 from fracflow import (
@@ -34,7 +35,7 @@ from fracflow.assembly import (
     output_C,
 )
 from fracflow.kernels import fbeta_iso
-from fracflow.solvers import condense_bulk
+from fracflow.solvers import _grid_order, condense_bulk
 from pinned_solve import solve_pinned
 
 ALPHA = 0.05
@@ -122,6 +123,68 @@ def test_schur_complement_matches_dense_reference(meshes, shape):
     assert np.abs(c.S[1:, 1:] - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(c.S, c.S.T)
     assert not c.S[0].any()
+
+
+def dense_schur_error(m, c):
+    """max |S - S_ref| / max |S_ref| against a dense elimination."""
+    A = _bulk_stiffness(m, 1.0).toarray()
+    G = c.trace[1:]  # the well is pinned
+    I = np.setdiff1d(np.arange(m.num_nodes), c.trace)
+    ref = A[np.ix_(G, G)] - A[np.ix_(G, I)] @ np.linalg.solve(A[np.ix_(I, I)],
+                                                             A[np.ix_(I, G)])
+    return np.abs(c.S[1:, 1:] - ref).max() / np.abs(ref).max()
+
+
+@st.composite
+def rectangle_specs(draw):
+    """Rectangles with the well anywhere, the tip inside or on the outer
+    boundary, uniform or graded, coarse to fine (up to ~1,000 nodes)."""
+    width = draw(st.sampled_from([20.0, 40.0]))
+    height = draw(st.sampled_from([16.0, 24.0]))
+    resolution = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    wx = draw(st.floats(-0.45, 0.3)) * width
+    wy = draw(st.floats(-0.45, 0.45)) * height
+    room = width / 2 - wx  # at least 4, so one edge always fits
+    length = (room if draw(st.booleans())
+              else max(draw(st.floats(0.4, 0.9)) * room, resolution))
+    return DomainSpec(shape="rectangle", fracture_length=length, width=width,
+                      height=height, aperture=1.0, well=(wx, wy),
+                      resolution=resolution,
+                      grading=draw(st.sampled_from([1.0, 1.3])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=rectangle_specs())
+@example(spec=SPECS["tip_on_boundary"])
+@example(spec=DomainSpec(shape="rectangle", fracture_length=5.0, width=40.0,
+                         height=24.0, aperture=1.0, well=(-18.0, 10.0),
+                         resolution=1.0, grading=1.0))
+def test_grid_order_condenses_rectangles(spec):
+    m = build_reservoir_mesh(spec)
+    c = condense_bulk(m, 1.0)
+    interior = c.position < 0
+    order = _grid_order(m.grid_shape, interior)
+    assert np.array_equal(c.interior, order)
+    assert np.array_equal(np.sort(order), np.flatnonzero(interior))
+    identity = np.arange(m.num_nodes - 1)
+    assert np.array_equal(c.lu.perm_r, identity)
+    assert np.array_equal(c.lu.perm_c, identity)
+    assert dense_schur_error(m, c) <= 1e-12
+
+
+def test_grid_order_fills_no_more_than_minimum_degree():
+    m = build_reservoir_mesh(DomainSpec(
+        shape="rectangle", fracture_length=50.0, width=100.0, height=80.0,
+        aperture=1.0, resolution=1.0, grading=1.3))
+    c = condense_bulk(m, 1.0)
+    A = _bulk_stiffness(m, 1.0).tocsr()
+    symmetric = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    interior = np.flatnonzero(c.position < 0)
+    mmd = interior[np.argsort(splu(A[interior][:, interior].tocsc(),
+                                   permc_spec="MMD_AT_PLUS_A", **symmetric).perm_c)]
+    order = np.concatenate([mmd, c.trace[1:]])
+    lu = splu(A[order][:, order].tocsc(), permc_spec="NATURAL", **symmetric)
+    assert c.lu.L.nnz + c.lu.U.nnz <= 1.1 * (lu.L.nnz + lu.U.nnz)
 
 
 def test_pivoted_bordered_factor_rejected(meshes, monkeypatch):
@@ -219,8 +282,8 @@ def factorizations(monkeypatch):
 
 class TestFactorizationCounts:
     """As many sparse factorizations as one condensation of the node set
-    makes (the ordering and the bordered factor), whatever the cell and
-    iteration counts."""
+    makes, whatever the cell and iteration counts: the bordered factor on
+    a rectangle, and on a disk also the factorization that orders it."""
 
     SPEC = DomainSpec(shape="rectangle", fracture_length=12.0, width=40.0,
                       height=32.0, aperture=1.0, resolution=2.0, grading=1.3)
@@ -230,8 +293,15 @@ class TestFactorizationCounts:
         condense_bulk(build_reservoir_mesh(self.SPEC), 1.0)
         n = len(factorizations)
         factorizations.clear()
-        assert n == 2
+        assert n == 1
         return n
+
+    def test_disk_condensation_factorizes_twice(self, factorizations, meshes):
+        m = meshes["disk"]
+        assert m.grid_shape is None
+        _, rep = solve_pss(m, FlowParams(alpha_f=ALPHA, beta=1e-1), 1000.0)
+        assert rep.iterations > 1
+        assert len(factorizations) == 2
 
     def test_sweep_factorizes_as_one_condensation(self, factorizations,
                                                   per_condensation):

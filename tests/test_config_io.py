@@ -252,6 +252,29 @@ class TestVtk:
         write_field_vtk(m, values, path)
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
+    def test_both_writers_match_the_point_by_point_writer(self, tmp_path):
+        m = build_fracture_slab_mesh(1.0, 0.1, 3, 2)
+        values = np.array([-0.0, np.nan, np.inf, -np.inf, 0.0, 1e-300, -2.5e300,
+                           1.0 / 3.0, -7.0, 123456789012.0, 5e-324, 0.1])
+        # reference: one formatted line per point, cell and value
+        mesh = ["# vtk DataFile Version 3.0", "fracflow mesh", "ASCII",
+                "DATASET UNSTRUCTURED_GRID", f"POINTS {m.num_nodes} double"]
+        mesh += [f"{x:.10g} {y:.10g} 0" for x, y in m.nodes]
+        mesh.append(f"CELLS {m.num_triangles} {4 * m.num_triangles}")
+        mesh += [f"3 {a} {b} {c}" for a, b, c in m.triangles]
+        mesh.append(f"CELL_TYPES {m.num_triangles}")
+        mesh += ["5"] * m.num_triangles
+        field = ["fracflow pressure field" if i == 1 else line
+                 for i, line in enumerate(mesh)]
+        field += [f"POINT_DATA {m.num_nodes}", "SCALARS pressure double 1",
+                  "LOOKUP_TABLE default"]
+        field += [f"{v:.10g}" for v in values]
+        assert {"-0", "nan", "inf", "-inf"} <= set(field)
+        write_mesh_vtk(m, tmp_path / "mesh.vtk")
+        write_field_vtk(m, values, tmp_path / "field.vtk")
+        assert (tmp_path / "mesh.vtk").read_bytes() == ("\n".join(mesh) + "\n").encode()
+        assert (tmp_path / "field.vtk").read_bytes() == ("\n".join(field) + "\n").encode()
+
     def test_mesh_dump(self, tmp_path):
         m = build_fracture_slab_mesh(1.0, 0.1, 3, 2)
         path = tmp_path / "mesh.vtk"

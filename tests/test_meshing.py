@@ -230,3 +230,77 @@ def test_grid_arrays_match_the_cell_loop(tags):
     for tag, edges in expected.items():
         assert boundary[tag].dtype == np.array(edges).dtype
         assert np.array_equal(boundary[tag], np.array(edges, dtype=int))
+
+
+DISK_SPECS = [
+    DomainSpec(shape="disk", fracture_length=3.0, radius=5.0, resolution=1.0),
+    DomainSpec(shape="disk", fracture_length=8.0, radius=16.0, resolution=2.0,
+               grading=1.3),
+    # the fracture reaches the outer ring
+    DomainSpec(shape="disk", fracture_length=5.0, radius=5.0, resolution=0.7,
+               grading=1.0),
+]
+
+
+@pytest.mark.parametrize("spec", DISK_SPECS)
+def test_disk_arrays_match_the_ring_loop(spec):
+    lengths = [spec.fracture_length / 2, spec.fracture_length]
+    family = build_reservoir_mesh_family(spec, lengths)
+    m = family[-1]
+    nb = int(np.ceil(2.0 * np.pi * spec.radius / spec.resolution))
+    radii = m.nodes[1::nb, 0]  # theta = 0, where cos is exactly one
+    theta = 2.0 * np.pi * np.arange(nb) / nb
+
+    def nid(j, k):
+        return 1 + j * nb + (k % nb)
+
+    # reference: nodes, triangles and edges built ring by ring, node by node
+    nodes = [(0.0, 0.0)]
+    for r in radii:
+        nodes += [(r * np.cos(t), r * np.sin(t)) for t in theta]
+    tris = [(0, nid(0, k), nid(0, k + 1)) for k in range(nb)]
+    for j in range(len(radii) - 1):
+        for k in range(nb):
+            tris.append((nid(j, k), nid(j + 1, k), nid(j + 1, k + 1)))
+            tris.append((nid(j, k), nid(j + 1, k + 1), nid(j, k + 1)))
+    outer = [(nid(len(radii) - 1, k), nid(len(radii) - 1, k + 1)) for k in range(nb)]
+
+    assert m.grid_shape is None
+    assert np.array_equal(m.nodes, np.array(nodes))
+    assert m.triangles.dtype == np.array(tris).dtype
+    assert np.array_equal(m.triangles, np.array(tris, dtype=int))
+    assert m.boundary_edges["outer"].dtype == np.array(outer).dtype
+    assert np.array_equal(m.boundary_edges["outer"], np.array(outer, dtype=int))
+    for L, mesh in zip(lengths, family):
+        frac = [0] + [nid(j, 0) for j in range(len(radii))
+                      if radii[j] <= L * (1.0 + 1e-9)]
+        pairs = [(frac[i], frac[i + 1]) for i in range(len(frac) - 1)]
+        assert mesh.fracture_edges.dtype == np.array(pairs).dtype
+        assert np.array_equal(mesh.fracture_edges, np.array(pairs, dtype=int))
+
+
+@pytest.mark.parametrize("spec", [
+    rect_spec(fracture_length=8.0, width=40.0, height=32.0, resolution=2.0,
+              grading=1.3),
+    # tip on the outer boundary
+    rect_spec(fracture_length=20.0, width=40.0, height=32.0, resolution=2.0,
+              grading=1.3),
+    rect_spec(fracture_length=5.0, width=40.0, height=32.0, resolution=0.5,
+              well=(-15.0, 12.0)),
+])
+def test_grid_fracture_edges_match_the_column_loop(spec):
+    from fracflow.meshing import _grid_mesh
+    m = build_reservoir_mesh(spec)
+    xs, ys = np.unique(m.nodes[:, 0]), np.unique(m.nodes[:, 1])
+    assert m.grid_shape == (len(ys), len(xs))
+    wx, wy = spec.well
+    lo, hi = wx, wx + spec.fracture_length
+    _, _, edges, _ = _grid_mesh(xs, ys, frac_x_lo=lo, frac_x_hi=hi, frac_y=wy)
+    # reference: the columns whose midpoint lies inside the fracture, one by one
+    iy0 = int(np.argmin(np.abs(ys - wy)))
+    tol = 1e-12 * max(1.0, abs(hi - lo))
+    pairs = [(iy0 * len(xs) + ix, iy0 * len(xs) + ix + 1) for ix in range(len(xs) - 1)
+             if lo - tol < 0.5 * (xs[ix] + xs[ix + 1]) < hi + tol]
+    assert edges.dtype == np.array(pairs).dtype
+    assert np.array_equal(edges, np.array(pairs, dtype=int))
+    assert np.array_equal(m.fracture_edges, edges)
