@@ -4,7 +4,7 @@
 # stronger drag hurts; at large drag the capacity saturates and extra
 # length is wasted.
 
-from fracflow import DomainSpec, FlowParams, run_sweep, trend_check, write_csv
+from fracflow import DomainSpec, FlowParams, run_sweep, trend_check, write_sweep_csv
 
 spec = DomainSpec(shape="rectangle", width=100.0, height=80.0,
                   fracture_length=50.0, aperture=1.0, resolution=2.0,
@@ -30,5 +30,5 @@ print(f"saturates at strong drag:           {diag.saturated}")
 print(f"late-length gain, weakest drag:     {diag.ratio_smallest_beta:+.4f}")
 print(f"late-length gain, strongest drag:   {diag.ratio_largest_beta:+.4f}")
 
-write_csv(table, "capacity_sweep.csv")
+write_sweep_csv(table, "capacity_sweep.csv")
 print("\nwrote capacity_sweep.csv")

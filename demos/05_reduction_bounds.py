@@ -8,7 +8,7 @@ from fracflow import (
     divergence_study,
     isotropic_report,
     linear_inflow,
-    write_csv,
+    write_reduction_csv,
 )
 
 L = 1.0
@@ -38,5 +38,5 @@ for s in (1.0, 2.0, 4.0):
     iso_reports.append(rep)
     print(f"  scale {s:3.0f}: empirical C = {rep.empirical_C:.5f}")
 
-write_csv(reports + iso_reports, "reduction_bounds.csv")
+write_reduction_csv(reports + iso_reports, "reduction_bounds.csv")
 print("\nwrote reduction_bounds.csv")

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .io import (
     read_sweep_csv,
-    write_csv,
     write_field_vtk,
     write_mesh_vtk,
     write_reduction_csv,

@@ -25,7 +25,7 @@ from pathlib import Path
 from .assembly import output_C
 from .config import COMMANDS, RunSpec, parse_config
 from .errors import ConfigError, ControlError, FracflowError, SolverError
-from .io import write_csv, write_field_vtk
+from .io import write_field_vtk, write_reduction_csv, write_sweep_csv
 from .meshing import build_reservoir_mesh
 from .reduction import divergence_study, isotropic_report, linear_inflow
 from .setpoint import baseline_pdd, solve_setpoint
@@ -93,7 +93,7 @@ def _cmd_sweep(spec: RunSpec, out: Path) -> int:
                       spec.params, tol=s.tol, max_outer=s.max_outer,
                       picard_tol=spec.solver.tol,
                       max_picard=spec.solver.max_picard)
-    write_csv(table, out / "sweep.csv")
+    write_sweep_csv(table, out / "sweep.csv")
     if table.failed:
         print(f"{len(table.failed)} sweep cells failed to converge", file=sys.stderr)
         return EXIT_SOLVER
@@ -131,7 +131,7 @@ def _cmd_validate(spec: RunSpec, out: Path) -> int:
                                             q_over_v=v.q_over_v, q0=v.q0 * s))
         cs = [r.empirical_C for r in reports[-len(v.scalings):]]
         ok = max(cs) <= 4.0 * min(cs)
-    write_csv(reports, out / "reduction.csv")
+    write_reduction_csv(reports, out / "reduction.csv")
     return EXIT_OK if ok else EXIT_CHECK
 
 

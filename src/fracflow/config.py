@@ -33,6 +33,12 @@ __all__ = [
 COMMANDS = ("solve", "inverse", "sweep", "validate")
 
 
+def _check_count(value, name: str) -> None:
+    # bool is an int subclass, but true is no count
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1")
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     tol: float = 1e-9
@@ -41,8 +47,7 @@ class SolverSettings:
     def __post_init__(self):
         if not self.tol > 0:
             raise ConfigError("solver.tol must be > 0")
-        if self.max_picard < 1:
-            raise ConfigError("solver.max_picard must be >= 1")
+        _check_count(self.max_picard, "solver.max_picard")
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,7 @@ class InverseSettings:
             raise ConfigError("inverse.q_baseline must be finite and > 0")
         if not self.tol > 0:
             raise ConfigError("inverse.tol must be > 0")
-        if self.max_outer < 1:
-            raise ConfigError("inverse.max_outer must be >= 1")
+        _check_count(self.max_outer, "inverse.max_outer")
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,7 @@ class SweepSettings:
             raise ConfigError("sweep.q_baseline must be finite and > 0")
         if not self.tol > 0:
             raise ConfigError("sweep.tol must be > 0")
-        if self.max_outer < 1:
-            raise ConfigError("sweep.max_outer must be >= 1")
+        _check_count(self.max_outer, "sweep.max_outer")
 
 
 @dataclass(frozen=True)
@@ -127,6 +130,12 @@ class ValidateSettings:
 class OutputSettings:
     dir: str = "out"
     write_vtk: bool = False
+
+    def __post_init__(self):
+        if not isinstance(self.dir, str):
+            raise ConfigError("output.dir must be a string")
+        if not isinstance(self.write_vtk, bool):
+            raise ConfigError("output.write_vtk must be true or false")
 
 
 @dataclass(frozen=True)
@@ -172,8 +181,10 @@ def _build_section(name: str, data: dict):
     kwargs = dict(data)
     if name == "domain" and "well" in kwargs:
         well = kwargs["well"]
-        if not (isinstance(well, (list, tuple)) and len(well) == 2):
-            raise ConfigError("domain.well must be a [x, y] pair")
+        if not (isinstance(well, (list, tuple)) and len(well) == 2
+                and all(isinstance(c, (int, float)) and not isinstance(c, bool)
+                        for c in well)):
+            raise ConfigError("domain.well must be a [x, y] pair of numbers")
         kwargs["well"] = (float(well[0]), float(well[1]))
     try:
         return _SECTION_TYPES[name](**kwargs)

@@ -11,11 +11,9 @@ import numpy as np
 
 from .assembly import ScalarField
 from .meshing import Mesh
-from .reduction import ReductionReport
 from .sweep import SweepTable
 
 __all__ = [
-    "write_csv",
     "write_sweep_csv",
     "read_sweep_csv",
     "write_reduction_csv",
@@ -28,17 +26,6 @@ def _fmt(x) -> str:
     if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
         return "nan" if np.isnan(x) else ("inf" if x > 0 else "-inf")
     return f"{x:.6g}"
-
-
-def write_csv(table, path) -> None:
-    """Serialize a SweepTable or a list of ReductionReports."""
-    if isinstance(table, SweepTable):
-        write_sweep_csv(table, path)
-        return
-    if isinstance(table, (list, tuple)) and table and isinstance(table[0], ReductionReport):
-        write_reduction_csv(table, path)
-        return
-    raise TypeError(f"cannot serialize {type(table).__name__} as CSV")
 
 
 def write_sweep_csv(t: SweepTable, path) -> None:

@@ -11,9 +11,9 @@ Two generators:
   [0, L] x [-h/2, h/2] used when comparing the full fracture flow
   against its 1-D reduction, with the four boundary groups tagged.
 
-Meshes are immutable once built.  Rectangle and slab meshes are tensor
-grids and record their grid shape, from which the bulk condensation
-reads a fill-reducing order of the nodes.
+Meshes are immutable once built.  Every mesh is a tensor grid (the disk a
+polar one, of rings by sectors) and records its node ids as a grid, from
+which the bulk condensation reads a fill-reducing order of the nodes.
 """
 
 from __future__ import annotations
@@ -99,8 +99,10 @@ class Mesh:
     boundary_edges: tag -> (e, 2) node pairs; tags "outer", "frac_plus",
         "frac_minus", "well", "frac_out".
     aperture: fracture thickness carried along for assembly.
-    grid_shape: (ny, nx) of a tensor-grid mesh, whose node iy * nx + ix
-        lies on the iy-th y line and the ix-th x line; None for disks.
+    grid: (ny, nx) node ids, each node's neighbors on the adjacent rows
+        and columns; a disk's rows are its rings and its columns its
+        sectors, which wrap around, the fracture ray last, and its hub
+        (the well) is off the grid.  Empty if built without one.
     """
 
     nodes: np.ndarray
@@ -109,7 +111,7 @@ class Mesh:
     well_node: int
     boundary_edges: dict = field(default_factory=dict)
     aperture: float = 0.0
-    grid_shape: tuple[int, int] | None = None
+    grid: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=int))
 
     @property
     def num_nodes(self) -> int:
@@ -286,7 +288,7 @@ def _rectangle_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     well_node = int(np.argmin(np.hypot(nodes[:, 0] - wx, nodes[:, 1] - wy)))
     _check_orientation(nodes, triangles)
     return Mesh(nodes, triangles, frac_edges, well_node, boundary, spec.aperture,
-                (len(ys), len(xs)))
+                np.arange(len(nodes)).reshape(len(ys), len(xs)))
 
 
 def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
@@ -323,7 +325,8 @@ def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     frac_edges = np.column_stack([frac_nodes[:-1], frac_nodes[1:]])
     boundary = {TAG_OUTER: np.column_stack([a[-1], b[-1]])}
     _check_orientation(nodes, triangles)
-    return Mesh(nodes, triangles, frac_edges, 0, boundary, spec.aperture)
+    return Mesh(nodes, triangles, frac_edges, 0, boundary, spec.aperture,
+                np.roll(a, -1, axis=1))
 
 
 def build_fracture_slab_mesh(L: float, h: float, nx: int, ny: int) -> Mesh:
@@ -344,7 +347,7 @@ def build_fracture_slab_mesh(L: float, h: float, nx: int, ny: int) -> Mesh:
     well_node = int(left[np.argmin(np.abs(nodes[left, 1]))])
     _check_orientation(nodes, triangles)
     return Mesh(nodes, triangles, np.empty((0, 2), dtype=int), well_node,
-                boundary, h, (ny + 1, nx + 1))
+                boundary, h, np.arange(len(nodes)).reshape(ny + 1, nx + 1))
 
 
 def _signed_areas(nodes, triangles):

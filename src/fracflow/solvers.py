@@ -13,11 +13,10 @@ The well is pinned to zero, so its row and column of S and its entry of
 r are zero.  A is symmetric, so r is both the condensed load and the
 condensed output weight.  The cost is one sparse factorization per node
 set, of the bulk without the well ordered [interior, trace], whose
-trailing block gives S with no further solve.  On a tensor-grid mesh the
-interior is ordered by nested dissection along grid lines
-(`_grid_order`); on a disk a first factorization of A_II yields SuperLU's
-minimum-degree order of it.  One solve with the bordered factor gives r
-and m_I . u.  A mesh family (a sweep) shares one node set, so one
+trailing block gives S with no further solve.  The interior is ordered by
+nested dissection along the lines of the mesh's grid (`_grid_order`),
+the polar grid of a disk included.  One solve with the bordered factor
+gives r and m_I . u.  A mesh family (a sweep) shares one node set, so one
 condensation over the union of its fracture nodes serves every cell.
 
 Every nonlinear solve is Newton's method on a strictly convex energy,
@@ -314,17 +313,17 @@ def _solve_line(S: np.ndarray, line: TraceLine, h: float, p: FlowParams,
 _GRID_BLOCK = 8
 
 
-def _grid_order(shape: tuple[int, int], keep: np.ndarray) -> np.ndarray:
-    """Nested-dissection order of the grid nodes where keep is True.
+def _grid_order(ids: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Nested-dissection order of the node ids of a grid where keep is True.
 
-    shape is (ny, nx), with node id iy * nx + ix.  A block of grid nodes is
-    split at the middle line across its longer side: the two halves come
-    first, each ordered the same way, and the separating line last (George,
-    SIAM J. Numer. Anal. 10, 1973).  Every neighbor of a P1 grid node lies
-    on the adjacent lines, so one line separates the halves.  Blocks of at
-    most _GRID_BLOCK nodes keep their natural order.
+    ids is a mesh's (ny, nx) `grid`.  A block of it is split at the middle
+    line across its longer side: the two halves come first, each ordered
+    the same way, and the separating line last (George, SIAM J. Numer.
+    Anal. 10, 1973).  Every neighbor of a P1 grid node lies on the
+    adjacent lines, so one line separates the halves (on a disk, but for
+    the wrap-around to the fracture ray).  Blocks of at most _GRID_BLOCK
+    nodes keep their natural order.
     """
-    ids = np.arange(shape[0] * shape[1]).reshape(shape)
     parts = []
 
     def dissect(block):
@@ -416,10 +415,10 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
     build_reservoir_mesh_family); the trace is the well plus the union of
     their fracture nodes, so the result serves every mesh of the family.
 
-    The interior is put in a fill-reducing order: by `_grid_order` on a
-    tensor-grid mesh, or else by SuperLU's minimum-degree order read off
-    a first factorization of A_II.  The bulk without the pinned well,
-    ordered [interior, trace], is factorized once, without pivoting
+    The interior is put in the fill-reducing `_grid_order` of the mesh's
+    grid, which with the trace must hold every node exactly once
+    (ValueError otherwise).  The bulk without the pinned well, ordered
+    [interior, trace], is factorized once, without pivoting
     (K = L D L^T in SuperLU's K = L U with U = D L^T), and S is read off
     the trailing block: S = U_GG^T D^-1 U_GG.
     """
@@ -432,20 +431,16 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
     position = np.full(m.num_nodes, -1)
     position[trace] = np.arange(len(trace))
 
+    # a wrong grid would silently give a wrong S
+    counts = np.bincount(m.grid.ravel(), minlength=m.num_nodes)
+    if len(counts) > m.num_nodes or np.any(counts[position < 0] != 1):
+        raise ValueError("mesh grid does not hold every interior node exactly once")
+    interior = _grid_order(m.grid, position < 0)
+    order = np.concatenate([interior, trace[1:]])
     A = _bulk_stiffness(m, k_p).tocsr()
-    symmetric = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     try:
-        if m.grid_shape is not None:
-            interior = _grid_order(m.grid_shape, position < 0)
-        else:
-            interior = np.flatnonzero(position < 0)
-            # argsort in the same expression: perm_c is a view that keeps
-            # the whole ordering factor alive
-            interior = interior[np.argsort(splu(
-                A[interior][:, interior].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                **symmetric).perm_c)]
-        order = np.concatenate([interior, trace[1:]])
-        lu = splu(A[order][:, order].tocsc(), permc_spec="NATURAL", **symmetric)
+        lu = splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"bulk operator off the well is singular: {exc}",
                           [("direct", str(exc))]) from exc

@@ -171,6 +171,33 @@ def test_bad_sweep_and_validate_settings_exit_2(tmp_path):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+SWEEP = {"lengths": [4.0, 8.0], "betas": [1e-3]}
+
+
+@pytest.mark.parametrize("command, section", [
+    ("solve", {"solver": {"max_picard": 2.5}}),
+    ("solve", {"solver": {"max_picard": True}}),
+    ("inverse", {"inverse": {"max_outer": 2.5}}),
+    ("inverse", {"inverse": {"max_outer": True}}),
+    ("sweep", {"sweep": dict(SWEEP, max_outer=2.5)}),
+    ("solve", {"domain": dict(DOMAIN, well=["a", 0])}),
+    ("solve", {"domain": dict(DOMAIN, well=["1", 0])}),
+    ("solve", {"domain": dict(DOMAIN, well=[True, 0])}),
+    ("solve", {"output": {"dir": 5}}),
+    ("solve", {"output": {"write_vtk": "yes"}}),
+], ids=["max_picard-float", "max_picard-bool", "max_outer-float",
+        "max_outer-bool", "sweep-max_outer-float", "well-letter",
+        "well-string", "well-bool", "dir-int", "write_vtk-string"])
+def test_malformed_value_exits_2(tmp_path, capsys, monkeypatch, command, section):
+    # no --out, so that output.dir is the one in use
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, dict({"command": command, "domain": DOMAIN,
+                                    "params": PARAMS}, **section))
+    assert main([command, "--config", cfg]) == 2
+    assert "configuration error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def test_solver_failure_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "inverse", "domain": DOMAIN,

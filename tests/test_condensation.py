@@ -6,6 +6,8 @@ rectangles and disks, with the fracture tip inside or on the outer
 boundary, at zero aperture and at zero rate.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -153,17 +155,31 @@ def rectangle_specs(draw):
                       grading=draw(st.sampled_from([1.0, 1.3])))
 
 
-@settings(max_examples=25, deadline=None)
-@given(spec=rectangle_specs())
+@st.composite
+def disk_specs(draw):
+    """Hub-centred disks, the tip inside or on the outer boundary, uniform
+    or graded, coarse to fine (up to ~1,200 nodes)."""
+    radius = draw(st.sampled_from([6.0, 10.0, 16.0]))
+    resolution = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    length = (radius if draw(st.booleans())
+              else max(draw(st.floats(0.2, 0.9)) * radius, resolution))
+    return DomainSpec(shape="disk", fracture_length=length, radius=radius,
+                      aperture=1.0, resolution=resolution,
+                      grading=draw(st.sampled_from([1.0, 1.3])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.one_of(rectangle_specs(), disk_specs()))
 @example(spec=SPECS["tip_on_boundary"])
+@example(spec=SPECS["disk"])
 @example(spec=DomainSpec(shape="rectangle", fracture_length=5.0, width=40.0,
                          height=24.0, aperture=1.0, well=(-18.0, 10.0),
                          resolution=1.0, grading=1.0))
-def test_grid_order_condenses_rectangles(spec):
+def test_grid_order_condenses_rectangles_and_disks(spec):
     m = build_reservoir_mesh(spec)
     c = condense_bulk(m, 1.0)
     interior = c.position < 0
-    order = _grid_order(m.grid_shape, interior)
+    order = _grid_order(m.grid, interior)
     assert np.array_equal(c.interior, order)
     assert np.array_equal(np.sort(order), np.flatnonzero(interior))
     identity = np.arange(m.num_nodes - 1)
@@ -173,18 +189,35 @@ def test_grid_order_condenses_rectangles(spec):
 
 
 def test_grid_order_fills_no_more_than_minimum_degree():
-    m = build_reservoir_mesh(DomainSpec(
-        shape="rectangle", fracture_length=50.0, width=100.0, height=80.0,
-        aperture=1.0, resolution=1.0, grading=1.3))
-    c = condense_bulk(m, 1.0)
-    A = _bulk_stiffness(m, 1.0).tocsr()
     symmetric = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    interior = np.flatnonzero(c.position < 0)
-    mmd = interior[np.argsort(splu(A[interior][:, interior].tocsc(),
-                                   permc_spec="MMD_AT_PLUS_A", **symmetric).perm_c)]
-    order = np.concatenate([mmd, c.trace[1:]])
-    lu = splu(A[order][:, order].tocsc(), permc_spec="NATURAL", **symmetric)
-    assert c.lu.L.nnz + c.lu.U.nnz <= 1.1 * (lu.L.nnz + lu.U.nnz)
+    for spec in (DomainSpec(shape="rectangle", fracture_length=50.0, width=100.0,
+                            height=80.0, aperture=1.0, resolution=1.0, grading=1.3),
+                 # 5,671 nodes
+                 DomainSpec(shape="disk", fracture_length=10.0, radius=30.0,
+                            aperture=1.0, resolution=1.0, grading=1.0)):
+        m = build_reservoir_mesh(spec)
+        c = condense_bulk(m, 1.0)
+        A = _bulk_stiffness(m, 1.0).tocsr()
+        interior = np.flatnonzero(c.position < 0)
+        # the oracle: SuperLU's minimum-degree order of A_II
+        mmd = interior[np.argsort(splu(A[interior][:, interior].tocsc(),
+                                       permc_spec="MMD_AT_PLUS_A",
+                                       **symmetric).perm_c)]
+        order = np.concatenate([mmd, c.trace[1:]])
+        lu = splu(A[order][:, order].tocsc(), permc_spec="NATURAL", **symmetric)
+        assert c.lu.L.nnz + c.lu.U.nnz <= 1.1 * (lu.L.nnz + lu.U.nnz), spec.shape
+
+
+def test_grid_missing_a_node_rejected(meshes):
+    m = meshes["rectangle"]
+    c = condense_bulk(m, 1.0)
+    dropped, other = np.flatnonzero(c.position < 0)[:2]
+    for grid in (m.grid[m.grid != dropped].reshape(1, -1),
+                 np.where(m.grid == dropped, other, m.grid),  # other twice
+                 np.where(m.grid == dropped, m.num_nodes, m.grid),
+                 np.empty((0, 0), dtype=int)):
+        with pytest.raises(ValueError, match="exactly once"):
+            condense_bulk(replace(m, grid=grid), 1.0)
 
 
 def test_pivoted_bordered_factor_rejected(meshes, monkeypatch):
@@ -282,26 +315,21 @@ def factorizations(monkeypatch):
 
 class TestFactorizationCounts:
     """As many sparse factorizations as one condensation of the node set
-    makes, whatever the cell and iteration counts: the bordered factor on
-    a rectangle, and on a disk also the factorization that orders it."""
+    makes, whatever the cell and iteration counts: the bordered factor,
+    on a rectangle and on a disk alike."""
 
     SPEC = DomainSpec(shape="rectangle", fracture_length=12.0, width=40.0,
                       height=32.0, aperture=1.0, resolution=2.0, grading=1.3)
 
     @pytest.fixture
-    def per_condensation(self, factorizations):
-        condense_bulk(build_reservoir_mesh(self.SPEC), 1.0)
-        n = len(factorizations)
-        factorizations.clear()
-        assert n == 1
-        return n
-
-    def test_disk_condensation_factorizes_twice(self, factorizations, meshes):
-        m = meshes["disk"]
-        assert m.grid_shape is None
-        _, rep = solve_pss(m, FlowParams(alpha_f=ALPHA, beta=1e-1), 1000.0)
-        assert rep.iterations > 1
-        assert len(factorizations) == 2
+    def per_condensation(self, factorizations, meshes):
+        counts = []
+        for m in (build_reservoir_mesh(self.SPEC), meshes["disk"]):
+            condense_bulk(m, 1.0)
+            counts.append(len(factorizations))
+            factorizations.clear()
+        assert counts == [1, 1]
+        return 1
 
     def test_sweep_factorizes_as_one_condensation(self, factorizations,
                                                   per_condensation):
@@ -318,8 +346,9 @@ class TestFactorizationCounts:
         assert len(factorizations) == per_condensation
 
     def test_pss_factorizes_as_one_condensation(self, factorizations,
-                                                per_condensation):
-        m = build_reservoir_mesh(self.SPEC)
-        _, rep = solve_pss(m, FlowParams(alpha_f=ALPHA, beta=1e-1), 1000.0)
-        assert rep.iterations > 1
-        assert len(factorizations) == per_condensation
+                                                per_condensation, meshes):
+        for m in (build_reservoir_mesh(self.SPEC), meshes["disk"]):
+            _, rep = solve_pss(m, FlowParams(alpha_f=ALPHA, beta=1e-1), 1000.0)
+            assert rep.iterations > 1
+            assert len(factorizations) == per_condensation
+            factorizations.clear()

@@ -12,7 +12,6 @@ from fracflow import (
     build_reservoir_mesh,
     parse_config,
     read_sweep_csv,
-    write_csv,
     write_field_vtk,
     write_mesh_vtk,
     write_reduction_csv,
@@ -167,7 +166,7 @@ class TestSweepCsv:
     def test_round_trip_six_digits(self, tmp_path):
         t = sample_table()
         path = tmp_path / "t.csv"
-        write_csv(t, path)
+        write_sweep_csv(t, path)
         Ls, betas, J = read_sweep_csv(path)
         assert Ls == t.L_values
         assert betas == t.beta_values
@@ -184,10 +183,6 @@ class TestSweepCsv:
     def test_unwritable_path_raises(self):
         with pytest.raises(OSError):
             write_sweep_csv(sample_table(), "/nonexistent-dir/t.csv")
-
-    def test_dispatch_rejects_unknown(self, tmp_path):
-        with pytest.raises(TypeError):
-            write_csv({"not": "a table"}, tmp_path / "x.csv")
 
 
 class TestReductionCsv:

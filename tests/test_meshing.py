@@ -265,7 +265,9 @@ def test_disk_arrays_match_the_ring_loop(spec):
             tris.append((nid(j, k), nid(j + 1, k + 1), nid(j, k + 1)))
     outer = [(nid(len(radii) - 1, k), nid(len(radii) - 1, k + 1)) for k in range(nb)]
 
-    assert m.grid_shape is None
+    # rings as rows, sectors as columns with the fracture ray (k = 0) last
+    grid = [[nid(j, k) for k in range(1, nb + 1)] for j in range(len(radii))]
+    assert np.array_equal(m.grid, np.array(grid))
     assert np.array_equal(m.nodes, np.array(nodes))
     assert m.triangles.dtype == np.array(tris).dtype
     assert np.array_equal(m.triangles, np.array(tris, dtype=int))
@@ -292,7 +294,7 @@ def test_grid_fracture_edges_match_the_column_loop(spec):
     from fracflow.meshing import _grid_mesh
     m = build_reservoir_mesh(spec)
     xs, ys = np.unique(m.nodes[:, 0]), np.unique(m.nodes[:, 1])
-    assert m.grid_shape == (len(ys), len(xs))
+    assert np.array_equal(m.grid, np.arange(m.num_nodes).reshape(len(ys), len(xs)))
     wx, wy = spec.well
     lo, hi = wx, wx + spec.fracture_length
     _, _, edges, _ = _grid_mesh(xs, ys, frac_x_lo=lo, frac_x_hi=hi, frac_y=wy)
@@ -304,3 +306,33 @@ def test_grid_fracture_edges_match_the_column_loop(spec):
     assert edges.dtype == np.array(pairs).dtype
     assert np.array_equal(edges, np.array(pairs, dtype=int))
     assert np.array_equal(m.fracture_edges, edges)
+
+
+GRID_MESHES = {
+    "rectangle": lambda: build_reservoir_mesh(rect_spec(
+        fracture_length=5.0, width=40.0, height=32.0, resolution=2.0,
+        well=(-15.0, 12.0), grading=1.3)),
+    "slab": lambda: build_fracture_slab_mesh(1.0, 0.05, 7, 4),
+    **{f"disk{i}": lambda spec=spec: build_reservoir_mesh(spec)
+       for i, spec in enumerate(DISK_SPECS)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GRID_MESHES))
+def test_grid_holds_every_node_next_to_its_neighbors(kind):
+    m = GRID_MESHES[kind]()
+    disk = kind.startswith("disk")  # the hub, its well, is off the grid
+    others = np.setdiff1d(np.arange(m.num_nodes), [m.well_node] if disk else [])
+    assert np.array_equal(np.sort(m.grid.ravel()), others)
+    ny, nx = m.grid.shape
+    row = np.full(m.num_nodes, -1)
+    col = np.full(m.num_nodes, -1)
+    row[m.grid], col[m.grid] = np.indices((ny, nx))
+    for a, b in ((0, 1), (1, 2), (2, 0)):
+        u, v = m.triangles[:, a], m.triangles[:, b]
+        on_grid = (row[u] >= 0) & (row[v] >= 0)
+        u, v = u[on_grid], v[on_grid]
+        assert np.all(np.abs(row[u] - row[v]) <= 1)
+        dc = np.abs(col[u] - col[v])
+        # a disk's sector columns wrap around
+        assert np.all((np.minimum(dc, nx - dc) if disk else dc) <= 1)
