@@ -27,15 +27,12 @@ from .errors import (
     SolverError,
 )
 from .io import (
-    read_sweep_csv,
     write_field_vtk,
-    write_mesh_vtk,
     write_reduction_csv,
     write_sweep_csv,
 )
 from .kernels import (
     FlowParams,
-    fbeta_aniso,
     fbeta_iso,
     forchheimer_inverse_1d,
     g_aux,

@@ -7,8 +7,8 @@ needed.  Gradients of P1 fields are constant per element, which makes the
 one-point (centroid) evaluation of the nonlinear mobility exact in its
 argument.
 
-Operator conventions, with basis functions phi_i, aperture h and the
-Darcy-limit fracture mobility 1/alpha_f:
+Operator conventions, with basis functions phi_i, the mesh's aperture h
+and the Darcy-limit fracture mobility 1/alpha_f:
 
 * ``assemble_A``:      A_ij = int_bulk k_p grad phi_i . grad phi_j
                               + (h / alpha_f) int_frac dphi_i/dx dphi_j/dx
@@ -194,7 +194,7 @@ def fracture_edge_gradients(m: Mesh, W) -> np.ndarray:
     return (w[edges[:, 1]] - w[edges[:, 0]]) / ell
 
 
-def assemble_A(m: Mesh, p: FlowParams, aperture: float | None = None) -> sparse.csr_matrix:
+def assemble_A(m: Mesh, p: FlowParams) -> sparse.csr_matrix:
     """Linear operator of the coupled model: Darcy bulk plus the
     aperture-weighted fracture line term at the mobility 1/alpha_f.
 
@@ -203,7 +203,7 @@ def assemble_A(m: Mesh, p: FlowParams, aperture: float | None = None) -> sparse.
     """
     if len(m.fracture_edges) == 0:
         raise AssemblyError("mesh has no fracture edges; cannot assemble the coupled operator")
-    h = m.aperture if aperture is None else aperture
+    h = m.aperture
     A = _bulk_stiffness(m, p.k_p)
     if h != 0.0:
         A = A + _line_stiffness(m, np.full(len(m.fracture_edges), h / p.alpha_f))
@@ -218,10 +218,10 @@ def _bulk_load(m: Mesh) -> np.ndarray:
     return load
 
 
-def assemble_B_in(m: Mesh, aperture: float | None = None) -> np.ndarray:
+def assemble_B_in(m: Mesh) -> np.ndarray:
     """Input vector: minus the P1 partition-of-unity load, normalized by
     the total volume |bulk| + h L so its entries sum to -1."""
-    h = m.aperture if aperture is None else aperture
+    h = m.aperture
     area, _ = _tri_geometry(m)
     load = _bulk_load(m)
     frac_len = 0.0
@@ -233,9 +233,9 @@ def assemble_B_in(m: Mesh, aperture: float | None = None) -> np.ndarray:
     return -load / vol
 
 
-def assemble_F_residual(m: Mesh, p: FlowParams, W, aperture: float | None = None) -> np.ndarray:
+def assemble_F_residual(m: Mesh, p: FlowParams, W) -> np.ndarray:
     """Nonlinear-minus-linear fracture term of the coupled model."""
-    h = m.aperture if aperture is None else aperture
+    h = m.aperture
     n = m.num_nodes
     F = np.zeros(n)
     if h == 0.0 or len(m.fracture_edges) == 0:
@@ -247,9 +247,9 @@ def assemble_F_residual(m: Mesh, p: FlowParams, W, aperture: float | None = None
     return F
 
 
-def output_C(m: Mesh, W, aperture: float | None = None) -> float:
+def output_C(m: Mesh, W) -> float:
     """Volume average of W over bulk plus fracture, exact for P1."""
-    h = m.aperture if aperture is None else aperture
+    h = m.aperture
     w = _values(W)
     area, _ = _tri_geometry(m)
     bulk = float(np.sum(area * w[m.triangles].mean(axis=1)))
@@ -313,8 +313,9 @@ def _edge_load(m: Mesh, edges: np.ndarray, q) -> np.ndarray:
     return load
 
 
-def dirichlet_nodes(m: Mesh, tag: str = TAG_WELL) -> np.ndarray:
-    return np.unique(m.boundary_edges[tag].ravel())
+def dirichlet_nodes(m: Mesh) -> np.ndarray:
+    """Nodes of the slab's pressure-pinned (well) boundary."""
+    return np.unique(m.boundary_edges[TAG_WELL].ravel())
 
 
 def slab_rhs(m: Mesh, q_plus, q_minus, q_over_v: float) -> np.ndarray:
@@ -334,7 +335,7 @@ def assemble_slab_residual(m: Mesh, p: FlowParams, W, flavor: str,
 
     K(W) is the stiffness of the per-triangle mobility at W: the scalar
     fbeta_iso(|grad W|) (isotropic) or the tensor diag(fbeta_iso(|W_x|),
-    aniso_k) (anisotropic).  Rows of nodes on the pressure-pinned boundary
+    1/alpha_f) (anisotropic: Darcy across the fracture).  Rows of nodes on the pressure-pinned boundary
     report W - 0 instead, so the residual of an exact discrete solution
     vanishes identically.
     """
@@ -346,7 +347,7 @@ def assemble_slab_residual(m: Mesh, p: FlowParams, W, flavor: str,
     else:
         coef = np.zeros((len(g), 2, 2))
         coef[:, 0, 0] = fbeta_iso(np.abs(g[:, 0]), p)
-        coef[:, 1, 1] = p.aniso_k
+        coef[:, 1, 1] = 1.0 / p.alpha_f
     r = _bulk_stiffness(m, coef) @ w - slab_rhs(m, q_plus, q_minus, q_over_v)
     fixed = dirichlet_nodes(m)
     r[fixed] = w[fixed]

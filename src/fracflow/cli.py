@@ -52,7 +52,8 @@ def _cmd_solve(spec: RunSpec, out: Path) -> int:
     _write_json({
         "Q": spec.solve.q,
         "PDD": pdd,
-        "J_p": spec.solve.q / pdd if pdd != 0 else float("nan"),
+        # null at q = 0, where there is no drawdown: NaN is not JSON
+        "J_p": spec.solve.q / pdd if pdd != 0 else None,
         "picard_iterations": report.iterations,
         "final_residual": report.final_residual,
     }, out / "solve_summary.json")

@@ -175,9 +175,14 @@ def _build_section(name: str, data: dict):
     if not isinstance(data, dict):
         raise ConfigError(f"section '{name}' must be an object")
     allowed = [f.name for f in fields(_SECTION_TYPES[name])]
-    for key in data:
+    for key, value in data.items():
         if key not in allowed:
             raise ConfigError(f"unknown key '{key}' in section '{name}'")
+        # bool is an int subclass: true would pass every numeric check as 1
+        items = value if isinstance(value, list) else [value]
+        if (name, key) != ("output", "write_vtk") and any(
+                isinstance(v, bool) for v in items):
+            raise ConfigError(f"{name}.{key} must not be true or false")
     kwargs = dict(data)
     if name == "domain" and "well" in kwargs:
         well = kwargs["well"]

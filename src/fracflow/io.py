@@ -15,10 +15,8 @@ from .sweep import SweepTable
 
 __all__ = [
     "write_sweep_csv",
-    "read_sweep_csv",
     "write_reduction_csv",
     "write_field_vtk",
-    "write_mesh_vtk",
 ]
 
 
@@ -50,22 +48,6 @@ def write_sweep_csv(t: SweepTable, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_sweep_csv(path):
-    """Read back a sweep CSV: (L_values, beta_values, J matrix)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    header = rows[0].split(",")
-    if header[0] != "L" or rows[1].split(",")[0] != "beta":
-        raise ValueError(f"{path} is not a sweep CSV")
-    Ls = [float(v) for v in header[1:]]
-    betas, J = [], []
-    for ln in rows[2:]:
-        parts = ln.split(",")
-        betas.append(float(parts[0]))
-        J.append([float(v) for v in parts[1:]])
-    return Ls, betas, np.array(J)
-
-
 def write_reduction_csv(reports, path) -> None:
     """Model-reduction study rows, one per report."""
     lines = []
@@ -82,33 +64,23 @@ def write_reduction_csv(reports, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _vtk_header(m: Mesh, title: str) -> str:
-    """Points and cells of m, each section formatted in one pass."""
+def write_field_vtk(m: Mesh, W, path) -> None:
+    """Pressure field as a legacy VTK unstructured grid."""
+    values = W.values if isinstance(W, ScalarField) else np.asarray(W, dtype=float)
     n, nt = m.num_nodes, m.num_triangles
-    # Python floats and ints format as NumPy scalars do, only faster
-    return (f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+    if values.shape != (n,):
+        raise ValueError(
+            f"field has {values.shape} values for a mesh with {n} nodes")
+    # each section formatted in one pass; Python floats and ints format
+    # as NumPy scalars do, only faster
+    text = ("# vtk DataFile Version 3.0\nfracflow pressure field\nASCII\n"
             f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n"
             + ("%.10g %.10g 0\n" * n) % tuple(m.nodes.ravel().tolist())
             + f"CELLS {nt} {4 * nt}\n"
             + ("3 %d %d %d\n" * nt) % tuple(m.triangles.ravel().tolist())
-            + f"CELL_TYPES {nt}\n" + "5\n" * nt)
-
-
-def write_field_vtk(m: Mesh, W, path) -> None:
-    """Pressure field as a legacy VTK unstructured grid."""
-    values = W.values if isinstance(W, ScalarField) else np.asarray(W, dtype=float)
-    if values.shape != (m.num_nodes,):
-        raise ValueError(
-            f"field has {values.shape} values for a mesh with {m.num_nodes} nodes")
-    text = (_vtk_header(m, "fracflow pressure field")
-            + f"POINT_DATA {m.num_nodes}\nSCALARS pressure double 1\n"
+            + f"CELL_TYPES {nt}\n" + "5\n" * nt
+            + f"POINT_DATA {n}\nSCALARS pressure double 1\n"
             "LOOKUP_TABLE default\n"
-            + ("%.10g\n" * m.num_nodes) % tuple(values.tolist()))
+            + ("%.10g\n" * n) % tuple(values.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def write_mesh_vtk(m: Mesh, path) -> None:
-    """Bare mesh dump for inspection in standard viewers."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_vtk_header(m, "fracflow mesh"))

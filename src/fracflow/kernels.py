@@ -6,8 +6,9 @@ The central object is the scalar mobility
 
 which turns the quadratic-drag momentum law into a gradient-driven flux
 ``v = -fbeta_iso(|grad p|) * grad p``.  The remaining functions are the
-anisotropic tensor variant, the inverse map from flux back to gradient,
-and small analytic helpers used by the model-reduction validator.
+inverse map from flux back to gradient and small analytic helpers used by
+the model-reduction validator.  The anisotropic slab drags only along
+the fracture; across it the mobility is the Darcy limit 1/alpha_f.
 
 All kernels are pure and accept scalars or numpy arrays (broadcasting);
 scalar input yields scalar output.
@@ -15,14 +16,13 @@ scalar input yields scalar output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "FlowParams",
     "fbeta_iso",
-    "fbeta_aniso",
     "forchheimer_inverse_1d",
     "g_aux",
     "monotonicity_gap",
@@ -38,15 +38,11 @@ class FlowParams:
         fracture; the Darcy limit of the fracture mobility is 1/alpha_f.
     beta: quadratic (Forchheimer) drag coefficient in the fracture.
     k_p: mobility of the porous block (Darcy only).
-    aniso_k: transverse mobility in the anisotropic fracture tensor.
-        Defaults to 1/alpha_f, which is the value the anisotropic
-        error bound is calibrated to.
     """
 
     alpha_f: float = 1.0
     beta: float = 0.0
     k_p: float = 1.0
-    aniso_k: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha_f) and self.alpha_f > 0):
@@ -55,10 +51,6 @@ class FlowParams:
             raise ValueError(f"beta must be >= 0 and finite, got {self.beta}")
         if not (np.isfinite(self.k_p) and self.k_p > 0):
             raise ValueError(f"k_p must be a positive finite real, got {self.k_p}")
-        if self.aniso_k is None:
-            object.__setattr__(self, "aniso_k", 1.0 / self.alpha_f)
-        if not (np.isfinite(self.aniso_k) and self.aniso_k > 0):
-            raise ValueError(f"aniso_k must be a positive finite real, got {self.aniso_k}")
 
 
 def _check_finite(x, name):
@@ -81,20 +73,6 @@ def fbeta_iso(grad_norm, p: FlowParams):
     a = p.alpha_f
     out = 2.0 / (a + np.sqrt(a * a + 4.0 * p.beta * z))
     return float(out) if np.isscalar(grad_norm) else out
-
-
-def fbeta_aniso(grad, p: FlowParams) -> np.ndarray:
-    """Diagonal mobility tensor diag(fbeta_iso(|grad_x|), aniso_k).
-
-    Quadratic drag acts only along the fracture axis; the transverse
-    direction stays Darcy with mobility ``p.aniso_k``.  The y-entry never
-    depends on the gradient.
-    """
-    g = np.asarray(grad, dtype=float)
-    if g.shape != (2,):
-        raise ValueError(f"grad must be a 2-vector, got shape {g.shape}")
-    _check_finite(g, "grad")
-    return np.array([[fbeta_iso(abs(g[0]), p), 0.0], [0.0, p.aniso_k]])
 
 
 def forchheimer_inverse_1d(flux, p: FlowParams):

@@ -125,7 +125,8 @@ class Mesh:
         """Same nodes and triangles, different fracture tagging.
 
         Used by sweeps so that every fracture length shares one node set
-        and the discrete point-well behavior cancels in comparisons.
+        and the discrete point-well behavior cancels in comparisons, and
+        with no edges for the unfractured baseline on the same node set.
         """
         return replace(self, fracture_edges=np.asarray(
             fracture_edges, dtype=int).reshape(-1, 2))

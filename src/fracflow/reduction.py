@@ -8,7 +8,8 @@ norms the error bounds are stated in:
 * isotropic flow: the squared L^{3/2} seminorms of (W_x - Wbar_x) and W_y
   are bounded by an (unknown) constant times the squared L^3 norms of the
   data, so the report tracks the empirical ratio instead of a pass/fail;
-* anisotropic flow (quadratic drag along the fracture only): the weighted
+* anisotropic flow (quadratic drag along the fracture only, Darcy across
+  it at the fracture's linear mobility k = 1/alpha_f): the weighted
   difference functional is bounded by h/(2k) * int (q+)^2 + (q-)^2 dx with
   explicit constants, so the inequality itself is checked.
 
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 Q_NORM_CONVENTION = "surface data extended constantly across thickness (factor h^(1/3)) for L3 norms"
+
+# Newton tolerance of every full and reduced slab solve behind a report
+_SLAB_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,19 +84,14 @@ def linear_inflow(q0: float, L: float):
     return q
 
 
-def lq_seminorm(W, m: Mesh, component: str = "full", q: float = 1.5) -> float:
-    """(sum_T area_T |(grad W)_component|^q)^(1/q) with P1 gradients."""
+def lq_seminorm(W, m: Mesh, component: str, q: float = 1.5) -> float:
+    """(sum_T area_T |(grad W)_component|^q)^(1/q) with P1 gradients,
+    component "x" (along the fracture) or "y" (across it)."""
     if not (1.0 <= q < math.inf):
         raise ValueError(f"q must be in [1, inf), got {q}")
-    g = triangle_gradients(m, W)
-    if component == "x":
-        vals = np.abs(g[:, 0])
-    elif component == "y":
-        vals = np.abs(g[:, 1])
-    elif component == "full":
-        vals = np.linalg.norm(g, axis=1)
-    else:
-        raise ValueError(f"component must be 'x', 'y' or 'full', got {component!r}")
+    if component not in ("x", "y"):
+        raise ValueError(f"component must be 'x' or 'y', got {component!r}")
+    vals = np.abs(triangle_gradients(m, W)[:, "xy".index(component)])
     area, _ = _tri_geometry(m)
     return float(np.sum(area * vals ** q) ** (1.0 / q))
 
@@ -115,16 +114,16 @@ def _slab_mesh(L: float, h: float, resolution: float) -> Mesh:
 
 
 def _solve_pair(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
-                q_over_v: float, tol: float):
-    full, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=tol)
-    red, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=tol,
+                q_over_v: float):
+    full, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=_SLAB_TOL)
+    red, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=_SLAB_TOL,
                         reduced=True)
     return full, red
 
 
 def isotropic_report(L: float, h: float, resolution: float, p: FlowParams,
                      q_plus, q_minus, q_over_v: float = 0.0,
-                     tol: float = 1e-10, q0: float = float("nan")) -> ReductionReport:
+                     q0: float = float("nan")) -> ReductionReport:
     """Full vs reduced isotropic slab flow, compared in L^{3/2} seminorms.
 
     lhs = |W_x - Wbar_x|^2 + |W_y|^2 (squared L^{3/2} seminorms); the data
@@ -132,7 +131,7 @@ def isotropic_report(L: float, h: float, resolution: float, p: FlowParams,
     unknown stability constant, estimated as empirical_C = lhs/rhs.
     """
     m = _slab_mesh(L, h, resolution)
-    full, red = _solve_pair(m, p, "isotropic", q_plus, q_minus, q_over_v, tol)
+    full, red = _solve_pair(m, p, "isotropic", q_plus, q_minus, q_over_v)
     diff = ScalarField(full.values - red.values, m)
     lhs = (lq_seminorm(diff, m, "x", 1.5) ** 2
            + lq_seminorm(full, m, "y", 1.5) ** 2)
@@ -149,24 +148,23 @@ def isotropic_report(L: float, h: float, resolution: float, p: FlowParams,
 
 def anisotropic_report(L: float, h: float, resolution: float, p: FlowParams,
                        q_plus, q_minus, q_over_v: float = 0.0,
-                       tol: float = 1e-10, q0: float = float("nan")) -> ReductionReport:
+                       q0: float = float("nan")) -> ReductionReport:
     """Full vs reduced anisotropic slab flow against the explicit bound.
 
     lhs integrates, per triangle, the square-root difference term on the
     large-gradient set (indicator on), the quadratic difference term off
     it, and the transverse energy (k/2) W_y^2.  rhs = h/(2k) int (q+)^2 +
-    (q-)^2 dx.  The bound is calibrated to a transverse mobility equal to
-    the fracture's linear mobility, so p.aniso_k should be 1/alpha_f (the
-    default) for lhs <= rhs to be guaranteed.
+    (q-)^2 dx.  k is the transverse mobility, the fracture's linear
+    mobility 1/alpha_f, which is the value the bound is calibrated to.
     """
     if p.beta <= 0:
         raise ValueError("anisotropic bound requires beta > 0")
     m = _slab_mesh(L, h, resolution)
-    full, red = _solve_pair(m, p, "anisotropic", q_plus, q_minus, q_over_v, tol)
+    full, red = _solve_pair(m, p, "anisotropic", q_plus, q_minus, q_over_v)
     gf = triangle_gradients(m, full)
     gr = triangle_gradients(m, red)
     area, _ = _tri_geometry(m)
-    k = p.aniso_k
+    k = 1.0 / p.alpha_f
     wx, wy = gf[:, 0], gf[:, 1]
     wxr = gr[:, 0]
     H = indicator_H(wx, wxr, p)
@@ -188,7 +186,7 @@ def anisotropic_report(L: float, h: float, resolution: float, p: FlowParams,
 
 def divergence_study(L: float, resolution: float, p: FlowParams,
                      q_plus, q_minus, h_list, flavor: str = "anisotropic",
-                     q_over_v: float = 0.0, tol: float = 1e-10,
+                     q_over_v: float = 0.0,
                      q0: float = float("nan")) -> list[ReductionReport]:
     """Reports for a decreasing sequence of apertures with fixed data.
 
@@ -206,5 +204,5 @@ def divergence_study(L: float, resolution: float, p: FlowParams,
     if flavor not in ("isotropic", "anisotropic"):
         raise ValueError(f"unknown flavor {flavor!r}")
     report = isotropic_report if flavor == "isotropic" else anisotropic_report
-    return [report(L, h, resolution, p, q_plus, q_minus, q_over_v, tol, q0)
+    return [report(L, h, resolution, p, q_plus, q_minus, q_over_v, q0)
             for h in hs]

@@ -55,32 +55,31 @@ def baseline_pdd(m: Mesh, p: FlowParams, Q: float, *,
                  condensation: BulkCondensation | None = None) -> float:
     """Drawdown of the unfractured reservoir at rate Q (pure Darcy).
 
-    Fracture terms are disabled by treating the aperture as zero, so only
-    the bulk operator and the pinned well remain.
+    The unfractured reservoir is m without its fracture edges, which
+    shares m's node set and so its condensation: only the bulk operator
+    and the pinned well remain.
     """
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
-    line = c.line(m, p.k_p, 0.0)
+    line = c.line(m.with_fracture_edges([]), p.k_p)
     q = Q / line.volume
     return c.output(line, _pinned_solve(c.S, q * line.weights), q)
 
 
-def step_response(m: Mesh, p: FlowParams, aperture: float | None = None, *,
+def step_response(m: Mesh, p: FlowParams, *,
                   condensation: BulkCondensation | None = None,
                   ) -> tuple[ScalarField, float]:
     """Unit-rate linear response X (A X = -B_in) and its gain G = C(X) > 0."""
-    h = m.aperture if aperture is None else aperture
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
-    line = c.line(m, p.k_p, h)
+    line = c.line(m, p.k_p)
     q = 1.0 / line.volume
-    x = _pinned_solve(line.operator(c.S, np.full(len(line.ell), h / p.alpha_f)),
+    x = _pinned_solve(line.operator(c.S, np.full(len(line.ell), line.h / p.alpha_f)),
                       q * line.weights)
     return c.full_field(m, x, q), c.output(line, x, q)
 
 
 def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
                    tol: float = 1e-6, max_outer: int = 50,
-                   picard_tol: float = 1e-9, max_picard: int = 100,
-                   aperture: float | None = None, *,
+                   picard_tol: float = 1e-9, max_picard: int = 100, *,
                    condensation: BulkCondensation | None = None) -> SetpointResult:
     """Find Q such that the pseudo-steady drawdown equals target_pdd.
 
@@ -95,10 +94,9 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
         raise ValueError(f"target_pdd must be positive and finite, got {target_pdd}")
     if max_outer < 1:
         raise ValueError(f"max_outer must be >= 1, got {max_outer}")
-    h = m.aperture if aperture is None else aperture
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
-    line = c.line(m, p.k_p, h)
-    A_lin = line.operator(c.S, np.full(len(line.ell), h / p.alpha_f))
+    line = c.line(m, p.k_p)
+    A_lin = line.operator(c.S, np.full(len(line.ell), line.h / p.alpha_f))
     # gain of the step response, without rebuilding its nodal field
     q1 = 1.0 / line.volume
     G = c.output(line, _pinned_solve(A_lin, q1 * line.weights), q1)
@@ -110,7 +108,7 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
     history: list[tuple[float, float]] = []
     for k in range(1, max_outer + 1):
         q = Q / line.volume
-        z, _ = _solve_trace(c, line, h, p, q, picard_tol, max_picard)
+        z, _ = _solve_trace(c, line, p, q, picard_tol, max_picard)
         pdd = c.output(line, z, q)
         history.append((Q, pdd))
         f = pdd - target_pdd

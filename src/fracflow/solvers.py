@@ -25,11 +25,13 @@ flux s f(s) has the closed-form tangent t(s) = 1/sqrt(alpha^2 + 4 beta s)
 and the drag potential Phi(s) = int_0^s sigma f(sigma) dsigma
 (`_forchheimer`).
 
-`_solve_line` solves the 1-D Forchheimer line problem: its tangent adds
-the line stiffness at coefficient h t(|z_x|) to a dense S, solved with
-position 0 pinned to zero.  `solve_pss` runs it on the condensed trace
-and rebuilds the full nodal field with one solve with the bordered
-factor; the reduced slab is the same line problem with S = 0.
+`_solve_line` solves the 1-D Forchheimer line problem of a `TraceLine`
+at its aperture h: its tangent adds the line stiffness at coefficient
+h t(|z_x|) to a dense S, solved with position 0 pinned to zero.
+`solve_pss` runs it on the condensed trace, whose line has the mesh's
+aperture, and rebuilds the full nodal field with one solve with the
+bordered factor; the reduced slab is the same line problem with S = 0
+at h = 1.
 
 The full slab keeps the sparse path on its free (unpinned) nodes: the
 tangent's sparsity pattern is built once per solve, each Newton step
@@ -218,9 +220,11 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
 
 @dataclass(frozen=True)
 class TraceLine:
-    """The fracture line of one mesh at aperture h, on a condensed trace
-    (or the reduced slab's x nodes, the line of a zero bulk at h = 1).
+    """The fracture line of one mesh, on a condensed trace (or the reduced
+    slab's x nodes, the line of a zero bulk at h = 1).
 
+    h: the aperture, the mesh's; it weights the line's mobility and its
+        load, and a line is solved at the h it was built with.
     edges: (k, 2) fracture edges as positions in the trace (none when
         h = 0).
     ell: (k,) edge lengths.
@@ -231,6 +235,7 @@ class TraceLine:
     volume: |bulk| + h * fracture length.
     """
 
+    h: float
     edges: np.ndarray
     ell: np.ndarray
     weights: np.ndarray
@@ -271,11 +276,12 @@ def _pinned_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return z
 
 
-def _solve_line(S: np.ndarray, line: TraceLine, h: float, p: FlowParams,
+def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
                 b: np.ndarray, norm_b: float, tol: float, max_iter: int,
                 ) -> tuple[np.ndarray, SolveReport]:
     """Newton solve of the line problem S z + (line flux at mobility
-    h * fbeta_iso(|z_x|)) = b, position 0 pinned to zero: the minimizer of
+    h * fbeta_iso(|z_x|)) = b, with h = line.h and position 0 pinned to
+    zero: the minimizer of
 
         E(z) = 1/2 z.S z + h sum_e ell_e Phi(|z_x|) - b.z,
 
@@ -283,6 +289,7 @@ def _solve_line(S: np.ndarray, line: TraceLine, h: float, p: FlowParams,
     residual.
     """
     norm_b = max(norm_b, 1e-300)
+    h = line.h
 
     def linearize(z):
         gx = line.gradients(z)
@@ -372,8 +379,9 @@ class BulkCondensation:
     mIu: float              # m_I . u
     area: float             # |bulk|
 
-    def line(self, m: Mesh, k_p: float, h: float) -> TraceLine:
-        """The fracture line of mesh m at aperture h on this trace."""
+    def line(self, m: Mesh, k_p: float) -> TraceLine:
+        """The fracture line of mesh m, at its aperture, on this trace."""
+        h = m.aperture
         if k_p != self.k_p:
             raise ValueError(f"condensation was built for k_p={self.k_p}, not {k_p}")
         if not _same_node_set(self.mesh, m):
@@ -385,7 +393,7 @@ class BulkCondensation:
         ell = _edge_geometry(m, edges)
         frac = np.zeros(len(self.trace))
         np.add.at(frac, local.ravel(), np.repeat(h * ell / 2.0, 2))
-        return TraceLine(local, ell, self.r + frac, self.load_G + frac,
+        return TraceLine(h, local, ell, self.r + frac, self.load_G + frac,
                          self.area + h * float(ell.sum()))
 
     def output(self, line: TraceLine, z: np.ndarray, q: float) -> float:
@@ -470,19 +478,18 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
         area=float(_tri_geometry(m)[0].sum()))
 
 
-def _solve_trace(c: BulkCondensation, line: TraceLine, h: float,
-                 p: FlowParams, q: float, tol: float, max_iter: int,
+def _solve_trace(c: BulkCondensation, line: TraceLine, p: FlowParams,
+                 q: float, tol: float, max_iter: int,
                  ) -> tuple[np.ndarray, SolveReport]:
     """Trace state of the coupled model at q = Q / volume on condensation c."""
     # residual relative to the full uncondensed load, whose interior rows
     # the condensed state satisfies exactly
     norm_b = abs(q) * float(np.sqrt(c.load_I @ c.load_I + line.load @ line.load))
-    return _solve_line(c.S, line, h, p, q * line.weights, norm_b, tol, max_iter)
+    return _solve_line(c.S, line, p, q * line.weights, norm_b, tol, max_iter)
 
 
 def solve_pss(m: Mesh, p: FlowParams, Q: float, tol: float = 1e-9,
-              max_iter: int = 100,
-              aperture: float | None = None, *,
+              max_iter: int = 100, *,
               condensation: BulkCondensation | None = None,
               ) -> tuple[ScalarField, SolveReport]:
     """Pseudo-steady-state solve of the coupled reduced model at rate Q.
@@ -490,11 +497,10 @@ def solve_pss(m: Mesh, p: FlowParams, Q: float, tol: float = 1e-9,
     The line problem (`_solve_line`) runs on the condensed trace (built
     for m unless a `condensation` of its node set is passed).
     """
-    h = m.aperture if aperture is None else aperture
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
-    line = c.line(m, p.k_p, h)
+    line = c.line(m, p.k_p)
     q = Q / line.volume
-    z, report = _solve_trace(c, line, h, p, q, tol, max_iter)
+    z, report = _solve_trace(c, line, p, q, tol, max_iter)
     return c.full_field(m, z, q), report
 
 
@@ -505,8 +511,9 @@ def _slab_constitutive(g: np.ndarray, p: FlowParams, flavor: str):
     symmetric positive definite; and the potential Psi, (t,), whose
     gradient is the flux.  Isotropic: flux f(|g|) g, tangent
     f I + (t - f) e e^T with e = g/|g| (f I at g = 0), Psi = Phi(|g|).
-    Anisotropic: flux (f(|g_x|) g_x, aniso_k g_y), tangent
-    diag(t(|g_x|), aniso_k), Psi = Phi(|g_x|) + aniso_k g_y^2 / 2.
+    Anisotropic, with the Darcy mobility k = 1/alpha_f across the
+    fracture: flux (f(|g_x|) g_x, k g_y), tangent diag(t(|g_x|), k),
+    Psi = Phi(|g_x|) + k g_y^2 / 2.
     """
     tangent = np.zeros((len(g), 2, 2))
     if flavor == "isotropic":
@@ -517,7 +524,7 @@ def _slab_constitutive(g: np.ndarray, p: FlowParams, flavor: str):
         tangent += (t - f)[:, None, None] * (e[:, :, None] * e[:, None, :])
         return f[:, None] * g, tangent, phi
     f, t, phi = _forchheimer(np.abs(g[:, 0]), p)
-    k = p.aniso_k
+    k = 1.0 / p.alpha_f
     tangent[:, 0, 0] = t
     tangent[:, 1, 1] = k
     return (np.column_stack([f * g[:, 0], k * g[:, 1]]), tangent,
@@ -547,8 +554,8 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
                   / m.aperture)
         edges = np.column_stack([np.arange(len(dx)), np.arange(1, len(xs))])
         z, report = _solve_line(np.zeros((len(xs), len(xs))),
-                                TraceLine(edges, dx, wx, wx, float(xs[-1])),
-                                1.0, p, b, float(np.linalg.norm(b)), tol, max_iter)
+                                TraceLine(1.0, edges, dx, wx, wx, float(xs[-1])),
+                                p, b, float(np.linalg.norm(b)), tol, max_iter)
         return ScalarField(z[np.searchsorted(xs, m.nodes[:, 0])], m), report
 
     rhs = slab_rhs(m, q_plus, q_minus, float(q_over_v))
@@ -580,8 +587,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     return ScalarField(field(w_f), m), report
 
 
-def pss_energy(m: Mesh, p: FlowParams, W, Q: float,
-               aperture: float | None = None) -> float:
+def pss_energy(m: Mesh, p: FlowParams, W, Q: float) -> float:
     """Variational energy of the coupled state at rate Q.
 
     Half the bulk Darcy energy plus the fracture drag potential minus the
@@ -590,7 +596,7 @@ def pss_energy(m: Mesh, p: FlowParams, W, Q: float,
     rebuilds from a trace state it equals, up to a constant, the condensed
     energy the Newton line search of `solve_pss` descends.
     """
-    h = m.aperture if aperture is None else aperture
+    h = m.aperture
     w = W.values if isinstance(W, ScalarField) else np.asarray(W, dtype=float)
     A_bulk = _bulk_stiffness(m, p.k_p)
     e = 0.5 * float(w @ (A_bulk @ w))
@@ -598,5 +604,5 @@ def pss_energy(m: Mesh, p: FlowParams, W, Q: float,
         gx = fracture_edge_gradients(m, w)
         ell = _edge_geometry(m, m.fracture_edges)
         e += h * float(np.sum(ell * _forchheimer(np.abs(gx), p)[2]))
-    e -= float((-assemble_B_in(m, aperture=h) * Q) @ w)
+    e -= float((-assemble_B_in(m) * Q) @ w)
     return e

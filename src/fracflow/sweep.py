@@ -24,6 +24,10 @@ from .solvers import condense_bulk
 
 __all__ = ["SweepTable", "TrendDiagnostics", "run_sweep", "trend_check"]
 
+# relative slack of every comparison in `trend_check`: capacities that
+# differ by rounding alone count as equal
+_TREND_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class SweepTable:
@@ -131,7 +135,7 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
     return SweepTable(Ls, betas, J, Q, iters, failed, meta)
 
 
-def trend_check(t: SweepTable, slack: float = 1e-12) -> TrendDiagnostics:
+def trend_check(t: SweepTable) -> TrendDiagnostics:
     """Qualitative behavior of a completed sweep table.
 
     Requires at least three lengths, two drag values and no failed cells.
@@ -148,7 +152,7 @@ def trend_check(t: SweepTable, slack: float = 1e-12) -> TrendDiagnostics:
     nb, nl = J.shape
 
     def tol_at(x):
-        return slack * max(1.0, abs(x))
+        return _TREND_SLACK * max(1.0, abs(x))
 
     bad_L = []
     row0 = J[0]
@@ -173,7 +177,7 @@ def trend_check(t: SweepTable, slack: float = 1e-12) -> TrendDiagnostics:
     else:
         r_small = float((J[0, -1] - J[0, -2]) / denom)
         r_large = float((J[-1, -1] - J[-1, -2]) / denom)
-        saturated = bool(r_large <= r_small + slack)
+        saturated = bool(r_large <= r_small + _TREND_SLACK)
 
     return TrendDiagnostics(
         increasing_with_length=not bad_L,

@@ -126,6 +126,56 @@ def test_k_f_key_exits_2(tmp_path, capsys):
     assert "unknown key 'k_f' in section 'params'" in capsys.readouterr().err
 
 
+def test_aniso_k_key_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {
+        "command": "validate", "domain": dict(DOMAIN, fracture_length=1.0),
+        "params": {"alpha_f": 1.0, "beta": 1.0, "aniso_k": 1.0}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'aniso_k' in section 'params'" in capsys.readouterr().err
+
+
+# fine enough that a length read as 1 is meshed and solved
+SMALL = dict(DOMAIN, width=12.0, height=8.0, fracture_length=3.0, resolution=0.5)
+
+
+@pytest.mark.parametrize("command, section, key", [
+    ("solve", {"solver": {"tol": True}}, "solver.tol"),
+    ("solve", {"params": dict(PARAMS, beta=True)}, "params.beta"),
+    ("solve", {"solve": {"q": True}}, "solve.q"),
+    ("validate", {"validate": {"apertures": [True]}}, "validate.apertures"),
+    ("sweep", {"domain": SMALL,
+               "sweep": {"lengths": [True, 2.0, 3.0], "betas": [1e-5, 1e-3]}},
+     "sweep.lengths"),
+    ("solve", {"domain": dict(SMALL, fracture_length=True)}, "domain.fracture_length"),
+], ids=["solver-tol", "params-beta", "solve-q", "validate-apertures",
+        "sweep-lengths", "domain-fracture_length"])
+def test_boolean_number_exits_2(tmp_path, capsys, command, section, key):
+    # bool is an int subclass: true passed every numeric check as 1
+    cfg = write_cfg(tmp_path, dict({"command": command, "domain": DOMAIN,
+                                    "params": PARAMS}, **section))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{key} must not be true or false" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_zero_rate_summary_is_strict_json(tmp_path):
+    # there is no drawdown at q = 0, so J_p = q / PDD is undefined; NaN is
+    # not JSON (RFC 8259)
+    cfg = write_cfg(tmp_path, {"command": "solve", "domain": DOMAIN,
+                               "params": PARAMS, "solve": {"q": 0.0}})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text(),
+                         parse_constant=reject)
+    assert summary["Q"] == 0.0 and summary["PDD"] == 0.0
+    assert summary["J_p"] is None
+
+
 @pytest.mark.parametrize("command, section", [
     ("inverse", {"inverse": {"q_baseline": 1000.0}}),
     ("sweep", {"sweep": {"lengths": [4.0, 8.0], "betas": [1e-3]}}),

@@ -60,35 +60,39 @@ def meshes():
     return {name: build_reservoir_mesh(spec) for name, spec in SPECS.items()}
 
 
+@pytest.fixture(scope="module")
+def bare_rectangle(meshes):
+    """The rectangle at zero aperture: the same nodes, no fracture term."""
+    return replace(meshes["rectangle"], aperture=0.0)
+
+
 def rel(a, b):
     # scaled by max|b| first, so that the squared norms cannot underflow
     s = np.abs(b).max()
     return float(np.linalg.norm((a - b) / s)) / float(np.linalg.norm(b / s))
 
 
-def sparse_frozen_solve(m, p, z, Q, h):
+def sparse_frozen_solve(m, p, z, Q):
     """Full sparse solve with the line mobility frozen at the state z."""
     A = _bulk_stiffness(m, p.k_p)
-    if h != 0.0:
+    if m.aperture != 0.0:
         gx = fracture_edge_gradients(m, z)
-        A = A + _line_stiffness(m, h * fbeta_iso(np.abs(gx), p))
-    b = -assemble_B_in(m, aperture=h) * Q
+        A = A + _line_stiffness(m, m.aperture * fbeta_iso(np.abs(gx), p))
+    b = -assemble_B_in(m) * Q
     return solve_pinned(A, b, m.well_node, tol=1e-13)
 
 
-def check_against_sparse(m, p, Q, aperture=None):
-    h = m.aperture if aperture is None else aperture
-    z, rep = solve_pss(m, p, Q, tol=1e-12, aperture=aperture)
+def check_against_sparse(m, p, Q):
+    z, rep = solve_pss(m, p, Q, tol=1e-12)
     assert rep.converged
     if Q == 0.0:
         assert np.abs(z.values).max() == 0.0
         return
     # z is the fixed point of the frozen sparse system ...
-    assert rel(z.values, sparse_frozen_solve(m, p, z, Q, h)) <= RTOL
+    assert rel(z.values, sparse_frozen_solve(m, p, z, Q)) <= RTOL
     # ... and solves the full nonlinear system
-    BQ = assemble_B_in(m, aperture=h) * Q
-    r = (assemble_A(m, p, aperture=h) @ z.values
-         + assemble_F_residual(m, p, z, aperture=h) + BQ)
+    BQ = assemble_B_in(m) * Q
+    r = assemble_A(m, p) @ z.values + assemble_F_residual(m, p, z) + BQ
     r[m.well_node] = 0.0
     s = np.abs(BQ).max()
     assert np.linalg.norm(r / s) <= RTOL * np.linalg.norm(BQ / s)
@@ -250,17 +254,43 @@ def test_fracture_tip_on_outer_boundary(meshes):
     check_step_response(m, p)
 
 
-def test_zero_aperture_is_pure_darcy(meshes):
+def test_zero_aperture_is_pure_darcy(meshes, bare_rectangle):
     m = meshes["rectangle"]
     p = FlowParams(alpha_f=ALPHA, beta=0.5)
-    check_against_sparse(m, p, 1000.0, aperture=0.0)
-    z, rep = solve_pss(m, p, 1000.0, aperture=0.0)
+    check_against_sparse(bare_rectangle, p, 1000.0)
+    z, rep = solve_pss(bare_rectangle, p, 1000.0)
     assert rep.iterations == 1
     ref = solve_pinned(_bulk_stiffness(m, p.k_p),
-                       -assemble_B_in(m, aperture=0.0) * 1000.0, m.well_node)
+                       -assemble_B_in(bare_rectangle) * 1000.0, m.well_node)
     assert rel(z.values, ref) <= RTOL
     assert baseline_pdd(m, p, 1000.0) == pytest.approx(
-        output_C(m, ref, aperture=0.0), rel=RTOL)
+        output_C(bare_rectangle, ref), rel=RTOL)
+
+
+@pytest.fixture(scope="module")
+def shared(meshes):
+    """One condensation per mesh of SPECS, built at its own aperture."""
+    return {name: condense_bulk(m, 1.0) for name, m in meshes.items()}
+
+
+@settings(max_examples=15, deadline=None)
+@given(shape=st.sampled_from(["rectangle", "disk"]),
+       h=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+       beta=st.floats(0.0, 1.0))
+@example(shape="rectangle", h=0.0, beta=0.5)
+def test_shared_condensation_serves_every_aperture(meshes, shared, shape, h, beta):
+    # the aperture is the mesh's: a copy at another aperture shares the
+    # node set, so the condensation built at the original aperture gives
+    # the same solves as one built for the copy
+    m = replace(meshes[shape], aperture=h)
+    p = FlowParams(alpha_f=ALPHA, beta=beta)
+    z_shared, _ = solve_pss(m, p, 1000.0, condensation=shared[shape])
+    z_own, _ = solve_pss(m, p, 1000.0)
+    assert rel(z_shared.values, z_own.values) <= 1e-12
+    X_shared, G_shared = step_response(m, p, condensation=shared[shape])
+    X_own, G_own = step_response(m, p)
+    assert rel(X_shared.values, X_own.values) <= 1e-12
+    assert G_shared == pytest.approx(G_own, rel=1e-12)
 
 
 def test_zero_rate_gives_exactly_zero(meshes):

@@ -1,9 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from fracflow import (
     FlowParams,
-    fbeta_aniso,
     fbeta_iso,
     forchheimer_inverse_1d,
     g_aux,
@@ -13,19 +14,28 @@ from fracflow import (
 
 
 def test_flowparams_defaults_linearize_at_zero_gradient():
+    # at zero gradient the mobility is the Darcy limit 1/alpha_f, which is
+    # also the transverse mobility of the anisotropic slab
     p = FlowParams(alpha_f=4.0, beta=2.0)
-    assert p.aniso_k == 0.25
-    assert FlowParams(alpha_f=4.0, beta=2.0, aniso_k=3.0).aniso_k == 3.0
+    assert fbeta_iso(0.0, p) == 0.25
+    assert [f.name for f in fields(FlowParams)] == ["alpha_f", "beta", "k_p"]
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(alpha_f=0.0), dict(alpha_f=-1.0), dict(beta=-1.0),
-    dict(k_p=0.0), dict(aniso_k=float("nan")), dict(aniso_k=0.0),
+    dict(k_p=0.0), dict(k_p=float("nan")), dict(alpha_f=float("inf")),
     dict(alpha_f=float("nan")), dict(beta=float("inf")),
 ])
 def test_flowparams_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         FlowParams(**kwargs)
+
+
+@pytest.mark.parametrize("value", [float("nan"), 0.0, 3.0])
+def test_flowparams_rejects_aniso_k(value):
+    # the transverse mobility is 1/alpha_f, not a parameter
+    with pytest.raises(TypeError, match="aniso_k"):
+        FlowParams(alpha_f=1.0, beta=1.0, aniso_k=value)
 
 
 class TestFbetaIso:
@@ -59,35 +69,6 @@ class TestFbetaIso:
             fbeta_iso(-1.0, p)
         with pytest.raises(ValueError):
             fbeta_iso(float("nan"), p)
-
-
-class TestFbetaAniso:
-    def test_zero_axial_gradient(self):
-        p = FlowParams(alpha_f=1.0, beta=1.0, aniso_k=3.0)
-        T = fbeta_aniso(np.array([0.0, 123.4]), p)
-        assert np.array_equal(T, np.diag([1.0, 3.0]))
-
-    def test_hand_value(self):
-        p = FlowParams(alpha_f=1.0, beta=1.0, aniso_k=3.0)
-        T = fbeta_aniso(np.array([2.0, 7.0]), p)
-        assert np.array_equal(T, np.diag([0.5, 3.0]))
-
-    def test_even_in_axial_component(self):
-        p = FlowParams(alpha_f=1.3, beta=0.7, aniso_k=2.0)
-        Tp = fbeta_aniso(np.array([2.0, 0.0]), p)
-        Tm = fbeta_aniso(np.array([-2.0, 0.0]), p)
-        assert np.array_equal(Tp, Tm)
-
-    def test_transverse_entry_ignores_gradient(self):
-        rng = np.random.default_rng(3)
-        p = FlowParams(alpha_f=1.0, beta=2.0, aniso_k=5.5)
-        for _ in range(20):
-            g = rng.normal(size=2) * 100
-            assert fbeta_aniso(g, p)[1, 1] == 5.5
-
-    def test_shape_check(self):
-        with pytest.raises(ValueError):
-            fbeta_aniso(np.array([1.0, 2.0, 3.0]), FlowParams())
 
 
 class TestForchheimerInverse:

@@ -25,7 +25,7 @@ class TestSeminorm:
     def test_constant_field_is_zero(self):
         m = unit_square_mesh()
         W = ScalarField(np.full(4, 2.0), m)
-        for comp in ("x", "y", "full"):
+        for comp in ("x", "y"):
             assert lq_seminorm(W, m, comp, 1.5) == 0.0
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0])
@@ -36,9 +36,11 @@ class TestSeminorm:
         assert lq_seminorm(W, m, "y", q) == 0.0
 
     def test_plane_full_norm(self):
+        # the L2 norm of the full gradient of a plane, from its components
         m = unit_square_mesh()
         W = ScalarField(m.nodes[:, 0] + 2.0 * m.nodes[:, 1], m)
-        assert lq_seminorm(W, m, "full", 2.0) == pytest.approx(np.sqrt(5.0), rel=1e-13)
+        assert lq_seminorm(W, m, "x", 2.0) == pytest.approx(1.0, rel=1e-13)
+        assert lq_seminorm(W, m, "y", 2.0) == pytest.approx(2.0, rel=1e-13)
 
     def test_invalid_arguments(self):
         m = unit_square_mesh()
@@ -47,6 +49,11 @@ class TestSeminorm:
             lq_seminorm(W, m, "x", 0.5)
         with pytest.raises(ValueError):
             lq_seminorm(W, m, "z", 2.0)
+        # the full-gradient norm is not a component
+        with pytest.raises(ValueError, match="'x' or 'y'"):
+            lq_seminorm(W, m, "full", 2.0)
+        with pytest.raises(TypeError):
+            lq_seminorm(W, m)
 
 
 class TestIntegrate:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,12 @@ def rect_mesh():
     spec = DomainSpec(shape="rectangle", fracture_length=10.0, width=60.0,
                       height=48.0, aperture=1.0, resolution=2.0, grading=1.3)
     return build_reservoir_mesh(spec)
+
+
+@pytest.fixture(scope="module")
+def bare_mesh(rect_mesh):
+    """rect_mesh at zero aperture: the same nodes, no fracture term."""
+    return replace(rect_mesh, aperture=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -143,10 +151,10 @@ class TestSetpoint:
         with pytest.raises(ValueError):
             solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), -5.0)
 
-    def test_zero_aperture_is_linear(self, rect_mesh):
+    def test_zero_aperture_is_linear(self, rect_mesh, bare_mesh):
         # no fracture term: one step, and the capacity of the bare reservoir
         p = FlowParams(alpha_f=ALPHA, beta=1.0)
-        res = solve_setpoint(rect_mesh, p, 500.0, aperture=0.0)
+        res = solve_setpoint(bare_mesh, p, 500.0)
         assert res.outer_iterations == 1
         assert res.PDD == pytest.approx(baseline_pdd(rect_mesh, p, res.Q), rel=1e-12)
 

@@ -48,6 +48,12 @@ def rect_mesh():
     return build_reservoir_mesh(spec)
 
 
+@pytest.fixture(scope="module")
+def bare_mesh(rect_mesh):
+    """rect_mesh at zero aperture: the same nodes, no fracture term."""
+    return dataclasses.replace(rect_mesh, aperture=0.0)
+
+
 def l2_field_norm(m, values):
     area, _ = _tri_geometry(m)
     return float(np.sqrt(np.sum(area * (values[m.triangles] ** 2).mean(axis=1))))
@@ -166,6 +172,20 @@ class TestForchheimer:
             assert dpsi[j] == pytest.approx(q[0, j], rel=1e-6, abs=rounding)
         assert np.allclose(dq, tangent[0], rtol=0.0, atol=1e-6 * top)
 
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=st.floats(0.1, 10.0),
+           beta=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+           g=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=16))
+    def test_anisotropic_transverse_mobility_is_darcy(self, alpha, beta, g):
+        # across the fracture the flow stays Darcy at the fracture's linear
+        # mobility, whatever the gradient
+        p = FlowParams(alpha_f=alpha, beta=beta)
+        g = np.array(g[: len(g) // 2 * 2]).reshape(-1, 2)
+        q, tangent, _ = _slab_constitutive(g, p, "anisotropic")
+        assert np.all(tangent[:, 1, 1] == 1.0 / alpha)
+        assert np.all(tangent[:, 0, 1] == 0.0) and np.all(tangent[:, 1, 0] == 0.0)
+        assert np.array_equal(q[:, 1], (1.0 / alpha) * g[:, 1])
+
 
 class TestNewton:
     def test_line_search_cuts_an_overlong_step(self):
@@ -232,9 +252,9 @@ class TestSolveSpd:
         x = solve_pinned(A, A @ x_star, rect_mesh.well_node)
         assert np.linalg.norm(x - x_star) <= 1e-9 * np.linalg.norm(x_star)
 
-    def test_singular_neumann_system_rejected(self, rect_mesh):
+    def test_singular_neumann_system_rejected(self, rect_mesh, bare_mesh):
         A = _bulk_stiffness(rect_mesh, 1.0)  # pure Neumann, constants in kernel
-        b = -assemble_B_in(rect_mesh, aperture=0.0)  # sums to +1: incompatible
+        b = -assemble_B_in(bare_mesh)  # sums to +1: incompatible
         with pytest.raises(SolverError) as err:
             _solve_spd(A, b, 1e-10)
         assert err.value.history  # residual history attached
@@ -288,9 +308,8 @@ class TestSolvePss:
         rel = np.linalg.norm(z.values - lin) / np.linalg.norm(lin)
         assert rel <= 1e-12
 
-    def test_zero_aperture_takes_one_step(self, rect_mesh):
-        _, rep = solve_pss(rect_mesh, FlowParams(alpha_f=0.1, beta=0.5), 500.0,
-                           aperture=0.0)
+    def test_zero_aperture_takes_one_step(self, bare_mesh):
+        _, rep = solve_pss(bare_mesh, FlowParams(alpha_f=0.1, beta=0.5), 500.0)
         assert rep.iterations == 1 and rep.converged
 
     def test_zero_rate_gives_zero_field(self, rect_mesh):
@@ -324,7 +343,7 @@ class TestSolvePss:
         states = record_accepted_states(monkeypatch)
         _, rep = solve_pss(rect_mesh, p, Q, tol=1e-12, condensation=c)
         assert len(states) == rep.iterations + 2 >= 4
-        q = Q / c.line(rect_mesh, p.k_p, rect_mesh.aperture).volume
+        q = Q / c.line(rect_mesh, p.k_p).volume
         e = np.array([pss_energy(rect_mesh, p, c.full_field(rect_mesh, z, q), Q)
                       for z in states])
         assert np.all(np.diff(e) <= 1e-12 * np.abs(e[1:]))
@@ -399,7 +418,7 @@ class TestSolveSlab:
         assert rep.converged and rep.final_residual > 1e-14
 
     def test_strong_contrast_slab_raises_or_solves(self):
-        # where t(|g_x|) << aniso_k the anisotropic tangent is badly scaled
+        # where t(|g_x|) << 1/alpha_f the anisotropic tangent is badly scaled
         # and the verified direction solve raises; a slab that returns must
         # solve its residual, whatever the contrast
         m = build_fracture_slab_mesh(1, 0.05, 32, 8)
@@ -439,7 +458,7 @@ class TestSolveSlab:
                 psi = _forchheimer(np.linalg.norm(g, axis=1), p)[2]
             else:
                 psi = (_forchheimer(np.abs(g[:, 0]), p)[2]
-                       + 0.5 * p.aniso_k * g[:, 1] ** 2)
+                       + 0.5 / p.alpha_f * g[:, 1] ** 2)
             energies.append(float(area @ psi - rhs @ w))
         e = np.array(energies)
         assert np.all(np.diff(e) <= 1e-12 * np.abs(e[1:]))
