@@ -72,6 +72,10 @@ class DomainSpec:
     def __post_init__(self):
         if self.shape not in ("rectangle", "disk"):
             raise GeometryError(f"unknown shape {self.shape!r}")
+        for name in ("fracture_length", "width", "height", "radius",
+                     "aperture", "well", "resolution", "grading"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise GeometryError(f"{name} must be finite")
         if self.fracture_length <= 0:
             raise GeometryError("fracture_length must be > 0")
         if self.resolution <= 0:

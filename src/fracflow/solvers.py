@@ -33,10 +33,12 @@ aperture, and rebuilds the full nodal field with one solve with the
 bordered factor; the reduced slab is the same line problem with S = 0
 at h = 1.
 
-The full slab keeps the sparse path on its free (unpinned) nodes: the
-tangent's sparsity pattern is built once per solve, each Newton step
-refills its values and solves it by one sparse LU factorization whose
-residual is verified; a solve that fails the check raises SolverError.
+The full slab keeps the sparse path on its free (unpinned) nodes, in the
+`_grid_order` of its grid: the tangent's sparsity pattern is built once
+per solve, and each Newton step refills its values and solves it by
+`_solve_spd`, which raises SolverError on a result it cannot verify.
+Every sparse factorization, bulk or slab, is one recipe (`_ldlt`):
+SuperLU's pivot-free L D L^T of an SPD matrix in the order given.
 """
 
 from __future__ import annotations
@@ -87,42 +89,47 @@ class SolveReport:
     damping_used: float
 
 
-def _solve_spd(A: sparse.spmatrix, b: np.ndarray, tol: float) -> np.ndarray:
-    """Direct factorization with residual verification.
+def _ldlt(A: sparse.spmatrix, what: str):
+    """L D L^T factor of the SPD matrix A in its given (fill-reducing)
+    order: SuperLU's L U with no reordering (`NATURAL`) and no pivoting,
+    U = D L^T, which is backward stable for SPD A.  A singular factor, or
+    one that came back reordered, raises SolverError naming `what`.
+    """
+    try:
+        lu = splu(A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # singular factorization
+        raise SolverError(f"{what} is singular: {exc}",
+                          [("direct", str(exc))]) from exc
+    identity = np.arange(A.shape[0])
+    if not (np.array_equal(lu.perm_r, identity)
+            and np.array_equal(lu.perm_c, identity)):
+        raise SolverError(f"{what} factorization reordered its rows or columns",
+                          [("direct", "perm_r or perm_c is not the identity")])
+    return lu
 
-    One step of iterative refinement keeps the direct path at machine
-    accuracy even for ill-conditioned systems.  The system is solved for
-    b scaled by a power of two to max|b| in [0.5, 1): the scaling is exact
-    in floating point, and the squared norms of b and of the residuals
-    cannot underflow however small b is.
+
+def _solve_spd(A: sparse.spmatrix, b: np.ndarray) -> np.ndarray:
+    """Verified solve of the SPD system A x = b by its `_ldlt` factor.
+
+    x is accepted, unrefined, if it is finite with backward error
+    |r| / (|b| + |A| |x|) at most 1e-14 and relative residual |r| / |b| at
+    most 1e-6, so that a near-singular solve cannot pass (SolverError
+    otherwise).  b is scaled by a power of two to max|b| in [0.5, 1), which
+    is exact and keeps the norms from underflowing however small b is.
     """
     if not np.any(b):
         return np.zeros_like(b)
     scale = np.ldexp(1.0, int(np.frexp(np.abs(b).max())[1]))
     b = b / scale
+    x = _ldlt(A, "sparse system").solve(b)
+    norm_r = np.linalg.norm(b - A @ x)
     norm_b = np.linalg.norm(b)
-    norm_A = sparse.linalg.norm(A)
-    try:
-        lu = splu(A.tocsc())
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"sparse factorization failed: {exc}",
-                          [("direct", str(exc))]) from exc
-    x = lu.solve(b)
-    r = b - A @ x
-    norm_r = np.linalg.norm(r)
-    if np.isfinite(norm_r / norm_b) and norm_r / norm_b > tol:
-        x = x + lu.solve(r)
-        norm_r = np.linalg.norm(b - A @ x)
-    # residual relative to b; machine-level backward error is also fine,
-    # but only alongside a small relative residual so that a near-singular
-    # solve with an exploding x cannot sneak through
     rel = float(norm_r / norm_b)
-    backward = norm_r / (norm_b + norm_A * np.linalg.norm(x))
-    if not (np.all(np.isfinite(x))
-            and (rel <= tol or (backward <= 1e-14 and rel <= 1e-6))):
-        raise SolverError(
-            f"linear solve failed to reach relative residual {tol:g} (got {rel:g})",
-            [("direct", rel)])
+    backward = norm_r / (norm_b + sparse.linalg.norm(A) * np.linalg.norm(x))
+    if not (np.all(np.isfinite(x)) and backward <= 1e-14 and rel <= 1e-6):
+        raise SolverError(f"linear solve left backward error {backward:g} "
+                          f"and relative residual {rel:g}", [("direct", rel)])
     return x * scale
 
 
@@ -160,8 +167,8 @@ class _Linearization:
     solve: object
 
 
-def _newton(linearize, n: int, tol: float, max_iter: int,
-            norm=np.linalg.norm) -> tuple[np.ndarray, SolveReport]:
+def _newton(linearize, n: int, tol: float,
+            max_iter: int) -> tuple[np.ndarray, SolveReport]:
     """Newton's method on n unknowns, globalized by backtracking on the
     energy.
 
@@ -179,8 +186,7 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
     change are below the rounding of E, which near convergence holds for
     every step: at the minimizer |E| is at least a third of each of its
     terms, so 1e-14 |E| bounds the rounding of the sum.  The loop stops
-    when the relative update (measured by norm) or the relative residual
-    is at most tol.
+    when the relative update or the relative residual is at most tol.
     """
     zero = linearize(np.zeros(n))
     z = zero.solve(-zero.grad)
@@ -209,7 +215,8 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
                 raise SolverError(f"line search stalled in Newton step {k} "
                                   f"(residual {state.residual:g})", history)
         smallest = min(smallest, step)
-        update = float(norm(z_next - z)) / max(float(norm(z_next)), 1e-300)
+        update = (float(np.linalg.norm(z_next - z))
+                  / max(float(np.linalg.norm(z_next)), 1e-300))
         history.append((update, trial.residual, step))
         z, state = z_next, trial
         if update <= tol or state.residual <= tol:
@@ -301,14 +308,7 @@ def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
         return _Linearization(energy, grad, float(np.linalg.norm(grad)) / norm_b,
                               lambda v: _pinned_solve(line.operator(S, h * t), v))
 
-    # the update is measured on the nodes of the line itself, so a trace
-    # larger than the line (a mesh family's) stops at the same step
-    on_line = np.unique(line.edges)
-
-    def norm(v):
-        return np.linalg.norm(v[on_line])
-
-    return _newton(linearize, len(b), tol, max_iter, norm)
+    return _newton(linearize, len(b), tol, max_iter)
 
 
 # grid blocks of at most this many nodes keep their natural order in
@@ -426,9 +426,9 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
     The interior is put in the fill-reducing `_grid_order` of the mesh's
     grid, which with the trace must hold every node exactly once
     (ValueError otherwise).  The bulk without the pinned well, ordered
-    [interior, trace], is factorized once, without pivoting
-    (K = L D L^T in SuperLU's K = L U with U = D L^T), and S is read off
-    the trailing block: S = U_GG^T D^-1 U_GG.
+    [interior, trace], is factorized once by `_ldlt`, in this order and
+    without pivoting (K = L D L^T in SuperLU's K = L U with U = D L^T),
+    and S is read off the trailing block: S = U_GG^T D^-1 U_GG.
     """
     meshes = [meshes] if isinstance(meshes, Mesh) else list(meshes)
     m = meshes[0]
@@ -446,17 +446,8 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
     interior = _grid_order(m.grid, position < 0)
     order = np.concatenate([interior, trace[1:]])
     A = _bulk_stiffness(m, k_p).tocsr()
-    try:
-        lu = splu(A[order][:, order].tocsc(), permc_spec="NATURAL",
-                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"bulk operator off the well is singular: {exc}",
-                          [("direct", str(exc))]) from exc
-    identity = np.arange(len(order))
-    if not (np.array_equal(lu.perm_r, identity)
-            and np.array_equal(lu.perm_c, identity)):
-        raise SolverError("bordered bulk factorization reordered the trace",
-                          [("direct", "perm_r or perm_c is not the identity")])
+    # S is the trailing block only of a factor that kept this order
+    lu = _ldlt(A[order][:, order], "bulk operator off the well")
 
     nI = len(interior)
     U = lu.U[nI:, nI:].toarray()  # the getter copies the whole factor
@@ -559,11 +550,11 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
         return ScalarField(z[np.searchsorted(xs, m.nodes[:, 0])], m), report
 
     rhs = slab_rhs(m, q_plus, q_minus, float(q_over_v))
-    free = np.setdiff1d(np.arange(m.num_nodes), dirichlet_nodes(m))
+    pinned = np.isin(np.arange(m.num_nodes), dirichlet_nodes(m))
+    free = _grid_order(m.grid, ~pinned)
     rhs_f = rhs[free]
     area, grads = _tri_geometry(m)
     tangent_matrix = _free_block_assembler(m, free)
-    lin_tol = max(1e-13, min(1e-11, tol * 1e-3))
     norm_rhs = max(float(np.linalg.norm(rhs)), 1e-300)
 
     def field(w_f):
@@ -580,8 +571,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
         energy = float(area @ psi) - float(rhs_f @ w_f)
         return _Linearization(
             energy, grad, float(np.linalg.norm(grad)) / norm_rhs,
-            lambda v: _solve_spd(tangent_matrix(_local_stiffness(m, tangent)),
-                                 v, lin_tol))
+            lambda v: _solve_spd(tangent_matrix(_local_stiffness(m, tangent)), v))
 
     w_f, report = _newton(linearize, len(free), tol, max_iter)
     return ScalarField(field(w_f), m), report

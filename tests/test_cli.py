@@ -134,6 +134,27 @@ def test_aniso_k_key_exits_2(tmp_path, capsys):
     assert "unknown key 'aniso_k' in section 'params'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("domain", [
+    dict(DOMAIN, resolution=float("nan")),
+    dict(DOMAIN, fracture_length=float("nan")),
+    dict(DOMAIN, shape="disk", radius=float("inf")),
+    dict(DOMAIN, grading=float("nan")),
+    dict(DOMAIN, aperture=float("inf")),
+    dict(DOMAIN, width=float("inf")),
+], ids=["resolution-nan", "fracture_length-nan", "radius-inf", "grading-nan",
+        "aperture-inf", "width-inf"])
+def test_non_finite_domain_value_exits_2(tmp_path, capsys, domain):
+    # Python's json reads NaN and Infinity, so the domain itself must
+    # reject them before anything is meshed or solved
+    cfg = write_cfg(tmp_path, {"command": "solve", "domain": domain,
+                               "params": PARAMS})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert "must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 # fine enough that a length read as 1 is meshed and solved
 SMALL = dict(DOMAIN, width=12.0, height=8.0, fracture_length=3.0, resolution=0.5)
 

@@ -20,11 +20,13 @@ from fracflow import (
     FlowParams,
     SolverError,
     baseline_pdd,
+    build_fracture_slab_mesh,
     build_reservoir_mesh,
     build_reservoir_mesh_family,
     run_sweep,
     solve_pss,
     solve_setpoint,
+    solve_slab,
     step_response,
 )
 from fracflow.assembly import (
@@ -79,7 +81,7 @@ def sparse_frozen_solve(m, p, z, Q):
         gx = fracture_edge_gradients(m, z)
         A = A + _line_stiffness(m, m.aperture * fbeta_iso(np.abs(gx), p))
     b = -assemble_B_in(m) * Q
-    return solve_pinned(A, b, m.well_node, tol=1e-13)
+    return solve_pinned(A, b, m.well_node)
 
 
 def check_against_sparse(m, p, Q):
@@ -100,7 +102,7 @@ def check_against_sparse(m, p, Q):
 
 def check_step_response(m, p):
     X, G = step_response(m, p)
-    ref = solve_pinned(assemble_A(m, p), -assemble_B_in(m), m.well_node, tol=1e-13)
+    ref = solve_pinned(assemble_A(m, p), -assemble_B_in(m), m.well_node)
     assert rel(X.values, ref) <= RTOL
     assert G == pytest.approx(output_C(m, ref), rel=RTOL)
 
@@ -225,7 +227,8 @@ def test_grid_missing_a_node_rejected(meshes):
 
 
 def test_pivoted_bordered_factor_rejected(meshes, monkeypatch):
-    # S is the trailing block only if the factor kept the given order
+    # S is the trailing block only if the factor kept the given order; a
+    # slab tangent is factorized by the same recipe, with the same check
     original = fracflow.solvers.splu
 
     class Pivoted:
@@ -236,13 +239,17 @@ def test_pivoted_bordered_factor_rejected(meshes, monkeypatch):
         def __getattr__(self, name):
             return getattr(self.lu, name)
 
-    def pivoting(A, permc_spec=None, **kwargs):
-        lu = original(A, permc_spec=permc_spec, **kwargs)
-        return Pivoted(lu) if permc_spec == "NATURAL" else lu
+    def pivoting(*args, **kwargs):
+        return Pivoted(original(*args, **kwargs))
 
     monkeypatch.setattr(fracflow.solvers, "splu", pivoting)
-    with pytest.raises(SolverError, match="reordered the trace"):
+    with pytest.raises(SolverError, match="bulk operator off the well "
+                                          "factorization reordered"):
         condense_bulk(meshes["rectangle"], 1.0)
+    q = lambda x: 1.0 - x
+    with pytest.raises(SolverError, match="reordered its rows or columns"):
+        solve_slab(build_fracture_slab_mesh(1.0, 0.1, 16, 4),
+                   FlowParams(alpha_f=ALPHA, beta=1.0), "anisotropic", q, q, 0.0)
 
 
 def test_fracture_tip_on_outer_boundary(meshes):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -28,9 +29,11 @@ from fracflow.assembly import (
     slab_rhs,
     triangle_gradients,
 )
+from fracflow.cli import main
 from fracflow.kernels import fbeta_iso
 from fracflow.solvers import (
     _forchheimer,
+    _grid_order,
     _Linearization,
     _newton,
     _slab_constitutive,
@@ -240,7 +243,7 @@ class TestNewton:
 
 class TestSolveSpd:
     def test_one_by_one(self):
-        x = _solve_spd(sparse.eye(1, format="csr"), np.array([2.0]), 1e-10)
+        x = _solve_spd(sparse.eye(1, format="csr"), np.array([2.0]))
         assert x == pytest.approx([2.0])
 
     def test_recovers_manufactured_solution(self, rect_mesh):
@@ -256,7 +259,7 @@ class TestSolveSpd:
         A = _bulk_stiffness(rect_mesh, 1.0)  # pure Neumann, constants in kernel
         b = -assemble_B_in(bare_mesh)  # sums to +1: incompatible
         with pytest.raises(SolverError) as err:
-            _solve_spd(A, b, 1e-10)
+            _solve_spd(A, b)
         assert err.value.history  # residual history attached
 
     def test_tiny_rate_scales_the_unit_field(self, rect_mesh):
@@ -266,7 +269,7 @@ class TestSolveSpd:
 
         def field(Q):
             return solve_pinned(A, -assemble_B_in(rect_mesh) * Q,
-                                rect_mesh.well_node, tol=1e-13)
+                                rect_mesh.well_node)
 
         Q = 2.9e-285
         unit = field(1.0)
@@ -274,15 +277,19 @@ class TestSolveSpd:
         assert (np.linalg.norm(tiny / Q - unit)
                 <= 1e-9 * np.linalg.norm(unit))
 
-    def test_refinement_rescues_an_inaccurate_first_solve(self, monkeypatch):
-        # the first triangular solve is off by 1e-8 relative; one step of
-        # iterative refinement fixes it, and the residual checked is the
-        # refined one
+    def test_inaccurate_first_solve_raises(self, monkeypatch):
+        # the first triangular solve is off by 1e-8 relative, a backward
+        # error far above 1e-14; there is no refinement step to repair it
+        A = sparse.diags([[-1.0] * 4, [4.0] * 5, [-1.0] * 4], [-1, 0, 1],
+                         format="csc")
+        x_star = np.arange(1.0, 6.0)
+        assert np.abs(_solve_spd(A, A @ x_star) - x_star).max() <= 1e-14 * 5.0
         original = fracflow.solvers.splu
 
         class Inaccurate:
             def __init__(self, lu):
                 self.lu, self.calls = lu, 0
+                self.perm_r, self.perm_c = lu.perm_r, lu.perm_c
 
             def solve(self, b):
                 self.calls += 1
@@ -290,12 +297,10 @@ class TestSolveSpd:
                 return x * (1.0 + 1e-8) if self.calls == 1 else x
 
         monkeypatch.setattr(fracflow.solvers, "splu",
-                            lambda A: Inaccurate(original(A)))
-        A = sparse.diags([[-1.0] * 4, [4.0] * 5, [-1.0] * 4], [-1, 0, 1],
-                         format="csc")
-        x_star = np.arange(1.0, 6.0)
-        x = _solve_spd(A, A @ x_star, 1e-12)
-        assert np.abs(x - x_star).max() <= 1e-14 * np.abs(x_star).max()
+                            lambda A, **kwargs: Inaccurate(original(A, **kwargs)))
+        with pytest.raises(SolverError, match="backward error") as err:
+            _solve_spd(A, A @ x_star)
+        assert err.value.history[-1][0] == "direct"
 
 
 class TestSolvePss:
@@ -446,7 +451,9 @@ class TestSolveSlab:
         states = record_accepted_states(monkeypatch)
         _, rep = solve_slab(m, p, flavor, q, q, 0.5, tol=1e-12)
         assert len(states) == rep.iterations + 2
-        free = np.setdiff1d(np.arange(m.num_nodes), dirichlet_nodes(m))
+        # the solver's free nodes, in its order
+        pinned = np.isin(np.arange(m.num_nodes), dirichlet_nodes(m))
+        free = _grid_order(m.grid, ~pinned)
         rhs = slab_rhs(m, q, q, 0.5)
         area, _ = _tri_geometry(m)
         energies = []
@@ -544,3 +551,49 @@ class TestSolveSlab:
         ratios = np.array(errs[:-1]) / np.array(errs[1:])
         assert np.all(ratios >= 3.5)  # order about 2 for P1
         assert np.all(np.log2(ratios) >= 1.8)
+
+
+def test_every_factorization_follows_one_recipe(tmp_path, monkeypatch):
+    # every sparse factor of a small solve (rectangle and disk), sweep and
+    # validate (both slab flavors) is SuperLU in the given order with no
+    # pivoting, and comes back with identity permutations
+    original = fracflow.solvers.splu
+    calls = []
+
+    def recording(A, **kwargs):
+        lu = original(A, **kwargs)
+        calls.append((kwargs, lu.perm_r, lu.perm_c))
+        return lu
+
+    monkeypatch.setattr(fracflow.solvers, "splu", recording)
+    rect = {"shape": "rectangle", "width": 20.0, "height": 16.0,
+            "fracture_length": 4.0, "aperture": 1.0, "resolution": 2.0}
+    disk = {"shape": "disk", "radius": 10.0, "fracture_length": 4.0,
+            "aperture": 1.0, "resolution": 1.0}
+    slab = dict(rect, fracture_length=1.0, resolution=0.125)
+    params = {"alpha_f": 0.05, "beta": 1e-3}
+    runs = [
+        ("solve", {"domain": rect, "params": params}),
+        ("solve", {"domain": disk, "params": params}),
+        ("sweep", {"domain": rect, "params": params,
+                   "sweep": {"lengths": [2.0, 3.0, 4.0],
+                             "betas": [1e-3, 1e-2]}}),
+        ("validate", {"domain": slab, "params": {"alpha_f": 1.0, "beta": 1.0},
+                      "validate": {"apertures": [0.1]}}),
+        ("validate", {"domain": slab, "params": {"alpha_f": 1.0, "beta": 0.1},
+                      "validate": {"flavor": "isotropic", "apertures": [0.1],
+                                   "q0": 0.1, "scalings": [1.0]}}),
+    ]
+    for k, (command, config) in enumerate(runs):
+        cfg = tmp_path / f"{k}.json"
+        cfg.write_text(json.dumps(dict(config, command=command)))
+        made = len(calls)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / f"out{k}")]) == 0
+        assert len(calls) > made
+    for kwargs, perm_r, perm_c in calls:
+        assert kwargs == {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0,
+                          "options": {"SymmetricMode": True}}
+        identity = np.arange(len(perm_r))
+        assert np.array_equal(perm_r, identity)
+        assert np.array_equal(perm_c, identity)
