@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 # Inverse problem: which production rate sustains a prescribed drawdown?
 # The drawdown grows strictly with the rate, so this is a scalar root find:
-# one linear step response gives the first rate, then regula falsi steps
-# stay inside a bracket on the rate; each outer step costs one nonlinear
-# solve.
+# one linear step response gives the first rate, then Newton steps on the
+# rate, with dPDD/dQ from the trace tangent, stay inside a bracket on it;
+# each outer step costs one nonlinear solve.
 
 from fracflow import (
     DomainSpec,

@@ -12,7 +12,8 @@ solver.tol and solver.max_picard bound every Newton solve of solve,
 inverse and sweep (max_picard counts Newton steps; the key and the
 summary's picard_iterations keep their historical names); the retired
 "threads" and solver.theta are rejected as unknown keys (exit 2).  A
-sweep runs its cells serially.
+sweep runs its cells serially; it needs at least 3 lengths and 2 betas
+for its trend check (exit 2 before any work otherwise).
 """
 
 from __future__ import annotations
@@ -90,6 +91,11 @@ def _cmd_sweep(spec: RunSpec, out: Path) -> int:
     s = spec.sweep
     if not s.lengths or not s.betas:
         raise ConfigError("sweep.lengths and sweep.betas must be nonempty")
+    # the trend check runs on every complete table, so reject a table it
+    # cannot judge before any work
+    if len(s.lengths) < 3 or len(s.betas) < 2:
+        raise ConfigError("the sweep's trend check needs >= 3 sweep.lengths "
+                          "and >= 2 sweep.betas")
     table = run_sweep(spec.domain, s.lengths, s.betas, s.q_baseline,
                       spec.params, tol=s.tol, max_outer=s.max_outer,
                       picard_tol=spec.solver.tol,
@@ -126,6 +132,9 @@ def _cmd_validate(spec: RunSpec, out: Path) -> int:
         ok = all(r.bound_holds for r in reports)
     else:
         for s in v.scalings:
+            if s == 1.0:  # apertures[0] at q0, which the study has reported
+                reports.append(reports[0])
+                continue
             qs = linear_inflow(v.q0 * s, L)
             reports.append(isotropic_report(L, v.apertures[0], resolution,
                                             spec.params, qs, qs,

@@ -5,13 +5,17 @@ The coupled model is a single-input single-output system
     A z + F(z) + B_in Q = 0,      pdd = C(z),
 
 linear in the rate Q.  PDD(Q) = C(z(Q)) increases strictly with Q from
-PDD(0) = 0, so PDD(Q) = target has one root, found by a bracketed root
-find with one nonlinear solve per outer step.  One linear step response
-X (A X = -B_in, gain G = C(X)) gives the first rate target / G, exact
-when beta = 0.  Until a rate overshoots, the next one is the secant
-through the origin, Q * target / PDD(Q); then regula falsi steps inside
-the bracket, with the Illinois modification (Dowell & Jarratt, BIT 11,
-1971): the stored residual of an end kept twice in a row is halved.
+PDD(0) = 0, so PDD(Q) = target has one root, found by Newton's method on
+Q safeguarded by a bracket (Newton-bisection, "rtsafe" in Press et al.,
+*Numerical Recipes*), with one nonlinear solve per outer step.  One
+linear step response X (A X = -B_in, gain G = C(X)) gives the first rate
+target / G, exact when beta = 0.  Each rate that misses the target
+narrows the bracket [lo, hi] around the root, and the next rate is the
+Newton step with dPDD/dQ = (w . J^-1 w + m_I . u) / V^2, from the trace
+tangent J at the solved state, the output weights w and the volume V
+(`BulkCondensation.output_slope`).  The slope is positive, so every step
+moves toward the root; a step that leaves the bracket is replaced by its
+midpoint.
 
 Every solve here runs on the bulk condensed onto the fracture trace
 (`fracflow.solvers.condense_bulk`), and C follows from the trace values
@@ -101,10 +105,9 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
     q1 = 1.0 / line.volume
     G = c.output(line, _pinned_solve(A_lin, q1 * line.weights), q1)
 
-    # f(Q) = PDD - target on the bracket [lo, hi]; side is the end moved last
+    # f(Q) = PDD - target, negative at lo and positive at hi
     Q = target_pdd / G
-    lo, f_lo, hi, f_hi = 0.0, -target_pdd, np.inf, np.inf
-    side = 0
+    lo, hi = 0.0, np.inf
     history: list[tuple[float, float]] = []
     for k in range(1, max_outer + 1):
         q = Q / line.volume
@@ -116,19 +119,12 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
             return SetpointResult(Q, pdd, Q / pdd, k, history,
                                   c.full_field(m, z, q))
         if f < 0:
-            lo, f_lo = Q, f
-            if side < 0:
-                f_hi /= 2.0
-            side = -1
+            lo = Q
         else:
-            hi, f_hi = Q, f
-            if side > 0:
-                f_lo /= 2.0
-            side = 1
-        if hi == np.inf:
-            Q = Q * target_pdd / pdd
-        else:
-            Q = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+            hi = Q
+        Q -= f / c.output_slope(line, p, z)
+        if not lo < Q < hi:
+            Q = 0.5 * (lo + hi)
     raise ControlError(
         f"set-point iteration did not reach the target drawdown in {max_outer} steps "
         f"(last relative error {abs(f) / target_pdd:g}, bracket [{lo:g}, {hi:g}])",

@@ -401,6 +401,22 @@ class BulkCondensation:
         q * m_I (q = Q / volume; 0 for a state with no interior load)."""
         return (float(line.weights @ z) + q * self.mIu) / line.volume
 
+    def output_slope(self, line: TraceLine, p: FlowParams,
+                     z: np.ndarray) -> float:
+        """dC/dQ at the solved trace state z of `_solve_trace` on line.
+
+        z solves S z + (line flux) = q w with w = line.weights and
+        q = Q / V, V = line.volume, so dz/dq = J^-1 w, J the line's tangent
+        at z, and C = (w . z + q m_I . u) / V gives
+
+            dC/dQ = (w . J^-1 w + m_I . u) / V^2 > 0,
+
+        one dense solve on the trace.
+        """
+        t = _forchheimer(np.abs(line.gradients(z)), p)[1]
+        v = _pinned_solve(line.operator(self.S, line.h * t), line.weights)
+        return (float(line.weights @ v) + self.mIu) / line.volume ** 2
+
     def full_field(self, m: Mesh, z: np.ndarray, q: float) -> ScalarField:
         """Nodal field of trace values z (zero on the well) with interior
         load q * m_I, by one triangular solve with the bordered factor.

@@ -91,6 +91,50 @@ def test_validate_isotropic_gate_fails_in_deep_drag_regime(tmp_path):
     assert rc == 4
 
 
+def test_validate_isotropic_reuses_the_unit_scaling_report(tmp_path, monkeypatch):
+    # the s = 1 row is the study's report of apertures[0] at q0: one full
+    # and one reduced slab solve per distinct report, and the row kept
+    import fracflow.reduction as reduction
+    calls = []
+    solve_slab = reduction.solve_slab
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("reduced", False))
+        return solve_slab(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "solve_slab", counting)
+    cfg = write_cfg(tmp_path, {
+        "command": "validate",
+        "domain": dict(DOMAIN, fracture_length=1.0, resolution=0.03125),
+        "params": {"alpha_f": 1.0, "beta": 0.1},
+        "validate": {"flavor": "isotropic", "apertures": [0.1],
+                     "q0": 0.1, "scalings": [1.0, 2.0, 4.0]}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert sorted(calls) == [False] * 3 + [True] * 3
+    rows = [line for line in (tmp_path / "out" / "reduction.csv").read_text()
+            .splitlines() if line.startswith("isotropic,")]
+    assert len(rows) == 4 and rows[0] == rows[1]
+
+
+@pytest.mark.parametrize("sweep", [
+    {"lengths": [4.0, 8.0], "betas": [1e-3, 1e-2]},
+    {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3]},
+], ids=["two-lengths", "one-beta"])
+def test_sweep_too_small_for_the_trend_check_exits_2(tmp_path, capsys,
+                                                     monkeypatch, sweep):
+    import fracflow.cli as cli
+
+    def no_meshing(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_meshing)
+    cfg = write_cfg(tmp_path, {"command": "sweep", "domain": DOMAIN,
+                               "params": PARAMS, "sweep": sweep})
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "trend check" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
 def test_config_errors_exit_2(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["solve", "--config", missing]) == 2
@@ -199,7 +243,7 @@ def test_zero_rate_summary_is_strict_json(tmp_path):
 
 @pytest.mark.parametrize("command, section", [
     ("inverse", {"inverse": {"q_baseline": 1000.0}}),
-    ("sweep", {"sweep": {"lengths": [4.0, 8.0], "betas": [1e-3]}}),
+    ("sweep", {"sweep": {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3, 1e-2]}}),
 ])
 def test_max_picard_reaches_the_setpoint(tmp_path, capsys, command, section):
     # beta > 0 needs more than one Newton step, so a budget of 1 must fail
@@ -222,7 +266,7 @@ def test_threads_flag_rejected_by_argparse(tmp_path):
 
 
 def test_bad_sweep_and_validate_settings_exit_2(tmp_path):
-    sweep = {"lengths": [4.0, 8.0], "betas": [1e-3]}
+    sweep = {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3, 1e-2]}
     bad = [("sweep", {"sweep": dict(sweep, max_outer=0)}),
            ("sweep", {"sweep": dict(sweep, betas=[-1e-3])}),
            ("validate", {"validate": {"flavor": "isotropic", "scalings": []}}),
@@ -242,7 +286,7 @@ def test_bad_sweep_and_validate_settings_exit_2(tmp_path):
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-SWEEP = {"lengths": [4.0, 8.0], "betas": [1e-3]}
+SWEEP = {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3, 1e-2]}
 
 
 @pytest.mark.parametrize("command, section", [
