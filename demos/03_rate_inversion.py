@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 # Inverse problem: which production rate sustains a prescribed drawdown?
 # The drawdown grows strictly with the rate, so this is a scalar root find:
-# one linear step response gives the first rate, then Newton steps on the
-# rate, with dPDD/dQ from the trace tangent, stay inside a bracket on it;
-# each outer step costs one nonlinear solve.
+# Newton steps on the rate, with dPDD/dQ from the trace tangent, start at
+# rest, where the slope is the gain G of the linear step response, so the
+# first rate is target / G; every step stays inside a bracket on the rate,
+# and each costs one nonlinear solve.
 
 from fracflow import (
     DomainSpec,

@@ -83,14 +83,15 @@ def _cmd_inverse(spec: RunSpec, out: Path) -> int:
         "history": [[q, pdd] for q, pdd in result.history],
     }, out / "inverse_result.json")
     if spec.output.write_vtk:
-        write_field_vtk(mesh, result.field, out / "pressure.vtk")
+        field, _ = solve_pss(mesh, spec.params, result.Q, tol=spec.solver.tol,
+                             max_iter=spec.solver.max_picard,
+                             condensation=condensation)
+        write_field_vtk(mesh, field, out / "pressure.vtk")
     return EXIT_OK
 
 
 def _cmd_sweep(spec: RunSpec, out: Path) -> int:
     s = spec.sweep
-    if not s.lengths or not s.betas:
-        raise ConfigError("sweep.lengths and sweep.betas must be nonempty")
     # the trend check runs on every complete table, so reject a table it
     # cannot judge before any work
     if len(s.lengths) < 3 or len(s.betas) < 2:
@@ -122,7 +123,7 @@ def _cmd_sweep(spec: RunSpec, out: Path) -> int:
 def _cmd_validate(spec: RunSpec, out: Path) -> int:
     v = spec.validate
     L = spec.domain.fracture_length
-    resolution = v.resolution if v.resolution is not None else spec.domain.resolution
+    resolution = spec.domain.resolution
     q = linear_inflow(v.q0, L)
     reports = divergence_study(L, resolution, spec.params, q, q,
                                v.apertures, flavor=v.flavor,

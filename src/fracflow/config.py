@@ -103,7 +103,6 @@ class ValidateSettings:
     apertures: list = field(default_factory=lambda: [0.2, 0.1, 0.05])
     q0: float = 1.0
     q_over_v: float = 0.0
-    resolution: float | None = None  # None: domain resolution
     scalings: list = field(default_factory=lambda: [1.0, 2.0, 4.0])
 
     def __post_init__(self):
@@ -113,6 +112,8 @@ class ValidateSettings:
             raise ConfigError("validate.apertures must be nonempty")
         if not all(math.isfinite(h) and h > 0 for h in self.apertures):
             raise ConfigError("validate.apertures must all be finite and > 0")
+        if any(b >= a for a, b in zip(self.apertures, self.apertures[1:])):
+            raise ConfigError("validate.apertures must be strictly decreasing")
         if self.flavor == "isotropic" and not self.scalings:
             raise ConfigError("validate.scalings must be nonempty for the isotropic flavor")
         if not all(math.isfinite(s) and s > 0 for s in self.scalings):
@@ -121,9 +122,6 @@ class ValidateSettings:
             raise ConfigError("validate.q0 must be finite")
         if not math.isfinite(self.q_over_v):
             raise ConfigError("validate.q_over_v must be finite")
-        if self.resolution is not None and not (math.isfinite(self.resolution)
-                                                and self.resolution > 0):
-            raise ConfigError("validate.resolution must be finite and > 0")
 
 
 @dataclass(frozen=True)

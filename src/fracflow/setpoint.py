@@ -7,12 +7,14 @@ The coupled model is a single-input single-output system
 linear in the rate Q.  PDD(Q) = C(z(Q)) increases strictly with Q from
 PDD(0) = 0, so PDD(Q) = target has one root, found by Newton's method on
 Q safeguarded by a bracket (Newton-bisection, "rtsafe" in Press et al.,
-*Numerical Recipes*), with one nonlinear solve per outer step.  One
-linear step response X (A X = -B_in, gain G = C(X)) gives the first rate
-target / G, exact when beta = 0.  Each rate that misses the target
-narrows the bracket [lo, hi] around the root, and the next rate is the
-Newton step with dPDD/dQ = (w . J^-1 w + m_I . u) / V^2, from the trace
-tangent J at the solved state, the output weights w and the volume V
+*Numerical Recipes*), with one nonlinear solve per outer step.  The
+iteration starts at rest (Q = 0, z = 0, PDD = 0), where the trace tangent
+is the Darcy-limit operator, so the first rate is the Newton step from
+rest, target / G with G the gain of the linear step response, exact when
+beta = 0.  Each rate that misses the target narrows the bracket [lo, hi]
+around the root, and the next rate is the Newton step with
+dPDD/dQ = (w . J^-1 w + m_I . u) / V^2, from the trace tangent J at the
+solved state, the output weights w and the volume V
 (`BulkCondensation.output_slope`).  The slope is positive, so every step
 moves toward the root; a step that leaves the bracket is replaced by its
 midpoint.
@@ -44,7 +46,7 @@ class SetpointResult:
 
     J_p is the diffusive capacity Q / PDD, the productivity index of the
     fractured configuration; history holds one (Q, PDD) pair per outer
-    iteration.
+    iteration.  The field at the rate is `solve_pss(m, p, result.Q)`.
     """
 
     Q: float
@@ -52,7 +54,6 @@ class SetpointResult:
     J_p: float
     outer_iterations: int
     history: list
-    field: ScalarField
 
 
 def baseline_pdd(m: Mesh, p: FlowParams, Q: float, *,
@@ -61,12 +62,11 @@ def baseline_pdd(m: Mesh, p: FlowParams, Q: float, *,
 
     The unfractured reservoir is m without its fracture edges, which
     shares m's node set and so its condensation: only the bulk operator
-    and the pinned well remain.
+    and the pinned well remain, and the drawdown is Q times its slope.
     """
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m.with_fracture_edges([]), p.k_p)
-    q = Q / line.volume
-    return c.output(line, _pinned_solve(c.S, q * line.weights), q)
+    return Q * c.output_slope(line, p, np.zeros(len(line.weights)))
 
 
 def step_response(m: Mesh, p: FlowParams, *,
@@ -90,9 +90,8 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
     Pass the `condensation` of m's node set to share one bulk
     condensation between calls.  picard_tol and max_picard bound each
     inner Newton solve on the trace (SolverError when that budget is
-    spent); the nodal field is rebuilt once, at the converged rate.  Raises
-    ControlError with the (Q, PDD) history if max_outer is exhausted
-    before |PDD - target| <= tol * target.
+    spent).  Raises ControlError with the (Q, PDD) history if max_outer
+    is exhausted before |PDD - target| <= tol * target.
     """
     if not (np.isfinite(target_pdd) and target_pdd > 0):
         raise ValueError(f"target_pdd must be positive and finite, got {target_pdd}")
@@ -100,31 +99,26 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
         raise ValueError(f"max_outer must be >= 1, got {max_outer}")
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p)
-    A_lin = line.operator(c.S, np.full(len(line.ell), line.h / p.alpha_f))
-    # gain of the step response, without rebuilding its nodal field
-    q1 = 1.0 / line.volume
-    G = c.output(line, _pinned_solve(A_lin, q1 * line.weights), q1)
 
-    # f(Q) = PDD - target, negative at lo and positive at hi
-    Q = target_pdd / G
+    # f(Q) = PDD - target, negative at lo and positive at hi; from rest
+    Q, z, f = 0.0, np.zeros(len(line.weights)), -target_pdd
     lo, hi = 0.0, np.inf
     history: list[tuple[float, float]] = []
     for k in range(1, max_outer + 1):
+        Q -= f / c.output_slope(line, p, z)
+        if not lo < Q < hi:
+            Q = 0.5 * (lo + hi)
         q = Q / line.volume
         z, _ = _solve_trace(c, line, p, q, picard_tol, max_picard)
         pdd = c.output(line, z, q)
         history.append((Q, pdd))
         f = pdd - target_pdd
         if abs(f) <= tol * target_pdd:
-            return SetpointResult(Q, pdd, Q / pdd, k, history,
-                                  c.full_field(m, z, q))
+            return SetpointResult(Q, pdd, Q / pdd, k, history)
         if f < 0:
             lo = Q
         else:
             hi = Q
-        Q -= f / c.output_slope(line, p, z)
-        if not lo < Q < hi:
-            Q = 0.5 * (lo + hi)
     raise ControlError(
         f"set-point iteration did not reach the target drawdown in {max_outer} steps "
         f"(last relative error {abs(f) / target_pdd:g}, bracket [{lo:g}, {hi:g}])",

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from fracflow import DomainSpec, FlowParams, build_reservoir_mesh, solve_pss
 from fracflow.cli import main
+from fracflow.io import write_field_vtk
 
 DOMAIN = {"shape": "rectangle", "width": 60.0, "height": 48.0,
           "fracture_length": 8.0, "aperture": 1.0, "resolution": 2.0,
@@ -40,6 +42,19 @@ def test_inverse_command_uses_baseline_when_no_target(tmp_path):
     assert abs(result["PDD"] - result["target_PDD"]) <= 1e-6 * result["target_PDD"]
     assert result["Q"] > 1000.0  # fracture raises capacity at equal drawdown
     assert len(result["history"]) == result["outer_iterations"]
+
+
+def test_inverse_vtk_is_the_forward_solve_at_the_rate(tmp_path):
+    cfg = write_cfg(tmp_path, {
+        "command": "inverse", "domain": DOMAIN, "params": PARAMS,
+        "inverse": {"q_baseline": 1000.0}, "output": {"write_vtk": True}})
+    assert main(["inverse", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    Q = json.loads((tmp_path / "out" / "inverse_result.json").read_text())["Q"]
+    mesh = build_reservoir_mesh(DomainSpec(**DOMAIN))
+    field, _ = solve_pss(mesh, FlowParams(**PARAMS), Q)
+    write_field_vtk(mesh, field, tmp_path / "forward.vtk")
+    assert ((tmp_path / "out" / "pressure.vtk").read_bytes()
+            == (tmp_path / "forward.vtk").read_bytes())
 
 
 def test_sweep_command_emits_table_and_diagnostics(tmp_path):
@@ -119,7 +134,9 @@ def test_validate_isotropic_reuses_the_unit_scaling_report(tmp_path, monkeypatch
 @pytest.mark.parametrize("sweep", [
     {"lengths": [4.0, 8.0], "betas": [1e-3, 1e-2]},
     {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3]},
-], ids=["two-lengths", "one-beta"])
+    {"lengths": [], "betas": [1e-3, 1e-2]},
+    {"lengths": [4.0, 6.0, 8.0], "betas": []},
+], ids=["two-lengths", "one-beta", "no-lengths", "no-betas"])
 def test_sweep_too_small_for_the_trend_check_exits_2(tmp_path, capsys,
                                                      monkeypatch, sweep):
     import fracflow.cli as cli
@@ -176,6 +193,17 @@ def test_aniso_k_key_exits_2(tmp_path, capsys):
         "params": {"alpha_f": 1.0, "beta": 1.0, "aniso_k": 1.0}})
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "unknown key 'aniso_k' in section 'params'" in capsys.readouterr().err
+
+
+def test_validate_resolution_key_exits_2(tmp_path, capsys):
+    # the slabs are meshed at the domain's resolution
+    cfg = write_cfg(tmp_path, {
+        "command": "validate", "domain": dict(DOMAIN, fracture_length=1.0),
+        "params": {"alpha_f": 1.0, "beta": 1.0},
+        "validate": {"resolution": 0.125}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert ("unknown key 'resolution' in section 'validate'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("domain", [
@@ -270,8 +298,6 @@ def test_bad_sweep_and_validate_settings_exit_2(tmp_path):
     bad = [("sweep", {"sweep": dict(sweep, max_outer=0)}),
            ("sweep", {"sweep": dict(sweep, betas=[-1e-3])}),
            ("validate", {"validate": {"flavor": "isotropic", "scalings": []}}),
-           ("validate", {"validate": {"resolution": 0.0}}),
-           ("validate", {"validate": {"resolution": -1.0}}),
            ("validate", {"params": dict(PARAMS, beta=0.0)}),
            ("validate", {"validate": {"q0": float("inf")}}),
            ("validate", {"validate": {"apertures": [float("inf")]}}),
@@ -300,9 +326,12 @@ SWEEP = {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3, 1e-2]}
     ("solve", {"domain": dict(DOMAIN, well=[True, 0])}),
     ("solve", {"output": {"dir": 5}}),
     ("solve", {"output": {"write_vtk": "yes"}}),
+    ("validate", {"validate": {"apertures": [0.1, 0.2]}}),
+    ("validate", {"validate": {"apertures": [0.1, 0.1]}}),
 ], ids=["max_picard-float", "max_picard-bool", "max_outer-float",
         "max_outer-bool", "sweep-max_outer-float", "well-letter",
-        "well-string", "well-bool", "dir-int", "write_vtk-string"])
+        "well-string", "well-bool", "dir-int", "write_vtk-string",
+        "apertures-increasing", "apertures-repeated"])
 def test_malformed_value_exits_2(tmp_path, capsys, monkeypatch, command, section):
     # no --out, so that output.dir is the one in use
     monkeypatch.chdir(tmp_path)

@@ -62,6 +62,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown key 'aniso_k' in section 'params'"):
             parse_config_data(dict(MINIMAL, params={"alpha_f": 1.0, "aniso_k": 1.0}))
 
+    def test_validate_resolution_key_rejected(self):
+        # the slabs are meshed at the domain's resolution; the retired
+        # duplicate is an unknown key
+        with pytest.raises(ConfigError,
+                           match="unknown key 'resolution' in section 'validate'"):
+            parse_config_data(dict(MINIMAL, command="validate",
+                                   params={"alpha_f": 1.0, "beta": 1.0},
+                                   validate={"resolution": 0.125}))
+
     def test_negative_beta_named(self, tmp_path):
         bad = dict(MINIMAL, params={"beta": -1.0})
         with pytest.raises(ConfigError, match="beta must be >= 0"):
@@ -104,9 +113,9 @@ class TestParseConfig:
             parse_config_data(dict(MINIMAL, command="sweep", sweep=sweep))
 
     @pytest.mark.parametrize("command, section, match", [
-        ("validate", {"validate": {"resolution": 0.0}}, "validate.resolution"),
-        ("validate", {"validate": {"resolution": -1.0}}, "validate.resolution"),
-        ("validate", {"validate": {"resolution": float("inf")}}, "validate.resolution"),
+        ("validate", {"validate": {"apertures": [0.1, 0.2]}}, "validate.apertures"),
+        ("validate", {"validate": {"apertures": [0.1, 0.1]}}, "validate.apertures"),
+        ("validate", {"validate": {"apertures": [0.2, 0.05, 0.1]}}, "validate.apertures"),
         ("validate", {"validate": {"flavor": "isotropic", "scalings": [1.0, 0.0]}},
          "validate.scalings"),
         ("validate", {"validate": {"flavor": "isotropic", "scalings": [float("nan")]}},

@@ -18,7 +18,7 @@ from fracflow import (
     step_response,
 )
 from fracflow.assembly import output_C
-from fracflow.solvers import _solve_trace
+from fracflow.solvers import BulkCondensation, _solve_trace
 
 ALPHA = 0.05
 LENGTHS = (4.0, 10.0, 20.0)
@@ -125,8 +125,7 @@ class TestSetpoint:
             solve_setpoint(rect_mesh, p, target, max_outer=2)
         assert len(err.value.history) == 2
 
-    def test_field_rebuilt_once_at_the_converged_rate(self, rect_mesh, monkeypatch):
-        from fracflow.solvers import BulkCondensation
+    def test_returns_the_rate_and_builds_no_field(self, rect_mesh, monkeypatch):
         p = FlowParams(alpha_f=0.05, beta=1e-2)
         c = condense_bulk(rect_mesh, p.k_p)
         target = baseline_pdd(rect_mesh, p, 1000.0, condensation=c)
@@ -139,10 +138,25 @@ class TestSetpoint:
 
         monkeypatch.setattr(BulkCondensation, "full_field", counting)
         res = solve_setpoint(rect_mesh, p, target, condensation=c)
-        assert res.outer_iterations > 1 and len(calls) == 1
+        assert res.outer_iterations > 1 and calls == []
+        # the field at the rate is the forward solve's
         z, _ = solve_pss(rect_mesh, p, res.Q, condensation=c)
-        assert np.array_equal(res.field.values, z.values)
-        assert output_C(rect_mesh, res.field) == pytest.approx(res.PDD, rel=1e-9)
+        assert output_C(rect_mesh, z) == pytest.approx(res.PDD, rel=1e-9)
+
+    def test_bisection_holds_overshooting_steps(self, rect_mesh, monkeypatch):
+        # a slope ten times too small makes Newton overshoot the root; the
+        # bracket turns each step that leaves it into a bisection
+        p = FlowParams(alpha_f=0.05, beta=1e-2)
+        c = condense_bulk(rect_mesh, p.k_p)
+        target = baseline_pdd(rect_mesh, p, 1000.0, condensation=c)
+        ref = solve_setpoint(rect_mesh, p, target, condensation=c)
+        slope = BulkCondensation.output_slope
+        monkeypatch.setattr(BulkCondensation, "output_slope",
+                            lambda self, *args: 0.1 * slope(self, *args))
+        res = solve_setpoint(rect_mesh, p, target, max_outer=50, condensation=c)
+        assert any(pdd < target for _, pdd in res.history[1:])
+        assert outer_steps_in_bracket(res.history, target), res.history
+        assert res.Q == pytest.approx(ref.Q, rel=2e-6)
 
     def test_empty_budget_rejected(self, rect_mesh):
         with pytest.raises(ValueError, match="max_outer"):
@@ -198,6 +212,21 @@ class TestSetpointProperties:
         assert res.outer_iterations <= 4
         assert abs(res.PDD - target) <= 1e-6 * target
         assert outer_steps_in_bracket(res.history, target), res.history
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.sampled_from(["rect", "disk", "bare"]),
+           log_k=st.floats(-3.0, 3.0), log_alpha=st.floats(-3.0, 2.0))
+    def test_slope_at_rest_is_the_step_response_gain(
+            self, rect_mesh, disk_mesh, bare_mesh, shape, log_k, log_alpha):
+        # at rest the trace tangent is the Darcy-limit operator, so the
+        # set-point's first Newton step is target / G
+        m = {"rect": rect_mesh, "disk": disk_mesh, "bare": bare_mesh}[shape]
+        p = FlowParams(alpha_f=10.0 ** log_alpha, beta=1.0, k_p=10.0 ** log_k)
+        c = condense_bulk(m, p.k_p)
+        line = c.line(m, p.k_p)
+        _, G = step_response(m, p, condensation=c)
+        slope = c.output_slope(line, p, np.zeros(len(line.weights)))
+        assert slope == pytest.approx(G, rel=1e-14, abs=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(beta=betas, j=lengths, log_q=st.floats(0.0, 5.0))
