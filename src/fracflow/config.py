@@ -175,7 +175,8 @@ def _build_section(name: str, data: dict):
     allowed = [f.name for f in fields(_SECTION_TYPES[name])]
     for key, value in data.items():
         if key not in allowed:
-            raise ConfigError(f"unknown key '{key}' in section '{name}'")
+            raise ConfigError(f"unknown key '{key}' in section '{name}' "
+                              f"({name}.{key} is not a setting)")
         # bool is an int subclass: true would pass every numeric check as 1
         items = value if isinstance(value, list) else [value]
         if (name, key) != ("output", "write_vtk") and any(

@@ -113,9 +113,10 @@ class TestParseConfig:
             parse_config_data(dict(MINIMAL, command="sweep", sweep=sweep))
 
     @pytest.mark.parametrize("command, section, match", [
-        ("validate", {"validate": {"apertures": [0.1, 0.2]}}, "validate.apertures"),
-        ("validate", {"validate": {"apertures": [0.1, 0.1]}}, "validate.apertures"),
-        ("validate", {"validate": {"apertures": [0.2, 0.05, 0.1]}}, "validate.apertures"),
+        # validate.resolution is retired: any value is an unknown key, named
+        ("validate", {"validate": {"resolution": 0.0}}, "validate.resolution"),
+        ("validate", {"validate": {"resolution": -1.0}}, "validate.resolution"),
+        ("validate", {"validate": {"resolution": float("inf")}}, "validate.resolution"),
         ("validate", {"validate": {"flavor": "isotropic", "scalings": [1.0, 0.0]}},
          "validate.scalings"),
         ("validate", {"validate": {"flavor": "isotropic", "scalings": [float("nan")]}},
@@ -130,6 +131,9 @@ class TestParseConfig:
         ("sweep", {"sweep": {"q_baseline": float("nan")}}, "sweep.q_baseline"),
         ("solve", {"solve": {"q": float("nan")}}, "solve.q"),
         ("solve", {"solve": {"q": float("-inf")}}, "solve.q"),
+        ("validate", {"validate": {"apertures": [0.1, 0.2]}}, "validate.apertures"),
+        ("validate", {"validate": {"apertures": [0.1, 0.1]}}, "validate.apertures"),
+        ("validate", {"validate": {"apertures": [0.2, 0.05, 0.1]}}, "validate.apertures"),
     ])
     def test_bad_numbers_named(self, command, section, match):
         data = dict(MINIMAL, command=command, params={"beta": 1.0})
