@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 # Inverse problem: which production rate sustains a prescribed drawdown?
-# The drawdown grows strictly with the rate, so this is a scalar root find:
-# Newton steps on the rate, with dPDD/dQ from the trace tangent, start at
-# rest, where the slope is the gain G of the linear step response, so the
-# first rate is target / G; every step stays inside a bracket on the rate,
-# and each costs one nonlinear solve.
+# The drawdown is linear in the fracture trace's state and the rate, so
+# fixing it fixes the rate as a function of the state, and the set-point
+# is one Newton solve of a strictly convex energy on the trace.  It starts
+# from the Darcy limit, whose rate is target / G with G the gain of the
+# linear step response; each step reports the rate its state implies.
 
 from fracflow import (
     DomainSpec,
@@ -27,10 +27,10 @@ target = baseline_pdd(mesh, params, 1000.0)
 print(f"unfractured baseline: PDD* = {target:.3f}, J* = {1000.0 / target:.4f}")
 
 X, G = step_response(mesh, params)
-print(f"linear gain G = {G:.5f}  (first rate guess {target / G:.1f})")
+print(f"linear gain G = {G:.5f}  (Darcy-limit rate {target / G:.1f})")
 
 result = solve_setpoint(mesh, params, target)
-print(f"\nconverged in {result.outer_iterations} outer iterations")
+print(f"\nconverged in {result.outer_iterations} Newton steps")
 print(f"Q = {result.Q:.2f}, achieved PDD = {result.PDD:.3f}, "
       f"J_p = {result.J_p:.4f}")
 

@@ -45,8 +45,8 @@ class SolverSettings:
     max_picard: int = 100
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ConfigError("solver.tol must be > 0")
+        if not 0 < self.tol < 1:  # NaN and Infinity fail too
+            raise ConfigError("solver.tol must be in (0, 1)")
         _check_count(self.max_picard, "solver.max_picard")
 
 
@@ -72,8 +72,8 @@ class InverseSettings:
             raise ConfigError("inverse.target_pdd must be finite and > 0")
         if not (math.isfinite(self.q_baseline) and self.q_baseline > 0):
             raise ConfigError("inverse.q_baseline must be finite and > 0")
-        if not self.tol > 0:
-            raise ConfigError("inverse.tol must be > 0")
+        if not 0 < self.tol < 1:  # NaN and Infinity fail too
+            raise ConfigError("inverse.tol must be in (0, 1)")
         _check_count(self.max_outer, "inverse.max_outer")
 
 
@@ -92,8 +92,8 @@ class SweepSettings:
             raise ConfigError("sweep.betas must all be finite and >= 0")
         if not (math.isfinite(self.q_baseline) and self.q_baseline > 0):
             raise ConfigError("sweep.q_baseline must be finite and > 0")
-        if not self.tol > 0:
-            raise ConfigError("sweep.tol must be > 0")
+        if not 0 < self.tol < 1:  # NaN and Infinity fail too
+            raise ConfigError("sweep.tol must be in (0, 1)")
         _check_count(self.max_outer, "sweep.max_outer")
 
 

@@ -25,7 +25,7 @@ class SolverError(FracflowError):
 
 
 class ControlError(FracflowError):
-    """Set-point outer iteration exceeded its budget."""
+    """Set-point solve exceeded its step budget or missed its target."""
 
     def __init__(self, message, history=None):
         super().__init__(message)

@@ -1,28 +1,22 @@
 """Rate inversion: find the production rate giving a prescribed drawdown.
 
-The coupled model is a single-input single-output system
+On the bulk condensed onto the fracture trace
+(`fracflow.solvers.condense_bulk`) the state at rate Q = V q solves
+S z + (line flux) = q w, and its drawdown C = (w . z + q m_I . u) / V is
+linear in z and q, with w the line's output weights and V its volume.
+C = target fixes q = (V target - w . z) / (m_I . u), which leaves the
+line problem
 
-    A z + F(z) + B_in Q = 0,      pdd = C(z),
+    (S + w w^T / (m_I . u)) z + (line flux) = (V target / (m_I . u)) w,
 
-linear in the rate Q.  PDD(Q) = C(z(Q)) increases strictly with Q from
-PDD(0) = 0, so PDD(Q) = target has one root, found by Newton's method on
-Q safeguarded by a bracket (Newton-bisection, "rtsafe" in Press et al.,
-*Numerical Recipes*), with one nonlinear solve per outer step.  The
-iteration starts at rest (Q = 0, z = 0, PDD = 0), where the trace tangent
-is the Darcy-limit operator, so the first rate is the Newton step from
-rest, target / G with G the gain of the linear step response, exact when
-beta = 0.  Each rate that misses the target narrows the bracket [lo, hi]
-around the root, and the next rate is the Newton step with
-dPDD/dQ = (w . J^-1 w + m_I . u) / V^2, from the trace tangent J at the
-solved state, the output weights w and the volume V
-(`BulkCondensation.output_slope`).  The slope is positive, so every step
-moves toward the root; a step that leaves the bracket is replaced by its
-midpoint.
-
-Every solve here runs on the bulk condensed onto the fracture trace
-(`fracflow.solvers.condense_bulk`), and C follows from the trace values
-alone.  A set-point solve condenses the bulk once, or not at all when
-the caller passes the condensation of its node set.
+the minimizer of the strictly convex trace energy on the hyperplane
+C = target (equality-constrained Newton; Boyd & Vandenberghe, *Convex
+Optimization*, 2004, sec. 10.2).  One `_solve_line` call solves it, with
+no loop over rates; its gradient is the trace residual at the implied
+rate, so its stop tolerance means what it means for `solve_pss`.  The
+Darcy start is exact at beta = 0 or aperture 0: one step ends the solve.
+A set-point solve condenses the bulk once, or not at all when the caller
+passes the condensation of its node set.
 """
 
 from __future__ import annotations
@@ -32,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import ScalarField
-from .errors import ControlError
+from .errors import ControlError, SolverError
 from .kernels import FlowParams
 from .meshing import Mesh
-from .solvers import BulkCondensation, _pinned_solve, _solve_trace, condense_bulk
+from .solvers import BulkCondensation, TraceLine, _pinned_solve, _solve_line, condense_bulk
 
 __all__ = ["SetpointResult", "baseline_pdd", "step_response", "solve_setpoint"]
 
@@ -45,8 +39,8 @@ class SetpointResult:
     """Outcome of a set-point solve.
 
     J_p is the diffusive capacity Q / PDD, the productivity index of the
-    fractured configuration; history holds one (Q, PDD) pair per outer
-    iteration.  The field at the rate is `solve_pss(m, p, result.Q)`.
+    fractured configuration; outer_iterations counts the Newton steps of
+    the constrained solve, and history holds the (Q, PDD) pair of each.  The field at the rate is `solve_pss(m, p, result.Q)`.
     """
 
     Q: float
@@ -56,17 +50,26 @@ class SetpointResult:
     history: list
 
 
+def _gain_at_rest(c: BulkCondensation, line: TraceLine,
+                  p: FlowParams) -> tuple[np.ndarray, float]:
+    """Darcy-limit trace response v = J0^-1 w to a unit q, J0 the line's
+    tangent at rest (mobility 1/alpha), and the gain at rest
+    G = dC/dQ = (w . v + m_I . u) / V^2 > 0."""
+    v = _pinned_solve(line.operator(c.S, np.full(len(line.ell), line.h / p.alpha_f)),
+                      line.weights)
+    return v, (float(line.weights @ v) + c.mIu) / line.volume ** 2
+
+
 def baseline_pdd(m: Mesh, p: FlowParams, Q: float, *,
                  condensation: BulkCondensation | None = None) -> float:
     """Drawdown of the unfractured reservoir at rate Q (pure Darcy).
 
     The unfractured reservoir is m without its fracture edges, which
     shares m's node set and so its condensation: only the bulk operator
-    and the pinned well remain, and the drawdown is Q times its slope.
+    and the pinned well remain, and the drawdown is Q times its gain.
     """
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
-    line = c.line(m.with_fracture_edges([]), p.k_p)
-    return Q * c.output_slope(line, p, np.zeros(len(line.weights)))
+    return Q * _gain_at_rest(c, c.line(m.with_fracture_edges([]), p.k_p), p)[1]
 
 
 def step_response(m: Mesh, p: FlowParams, *,
@@ -75,10 +78,9 @@ def step_response(m: Mesh, p: FlowParams, *,
     """Unit-rate linear response X (A X = -B_in) and its gain G = C(X) > 0."""
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p)
+    v, G = _gain_at_rest(c, line, p)
     q = 1.0 / line.volume
-    x = _pinned_solve(line.operator(c.S, np.full(len(line.ell), line.h / p.alpha_f)),
-                      q * line.weights)
-    return c.full_field(m, x, q), c.output(line, x, q)
+    return c.full_field(m, q * v, q), G
 
 
 def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
@@ -87,11 +89,12 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
                    condensation: BulkCondensation | None = None) -> SetpointResult:
     """Find Q such that the pseudo-steady drawdown equals target_pdd.
 
-    Pass the `condensation` of m's node set to share one bulk
-    condensation between calls.  picard_tol and max_picard bound each
-    inner Newton solve on the trace (SolverError when that budget is
-    spent).  Raises ControlError with the (Q, PDD) history if max_outer
-    is exhausted before |PDD - target| <= tol * target.
+    One Newton solve on the hyperplane C = target_pdd (module docstring),
+    stopped at picard_tol with the residual of `solve_pss` at the Darcy
+    start's rate, in at most min(max_outer, max_picard) steps (ControlError
+    with the (Q, PDD) history when they are spent).  |PDD - target| <=
+    tol * target holds by construction; ControlError should it not.  Pass
+    the `condensation` of m's node set to share one bulk condensation.
     """
     if not (np.isfinite(target_pdd) and target_pdd > 0):
         raise ValueError(f"target_pdd must be positive and finite, got {target_pdd}")
@@ -99,27 +102,29 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
         raise ValueError(f"max_outer must be >= 1, got {max_outer}")
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p)
+    w, V = line.weights, line.volume
 
-    # f(Q) = PDD - target, negative at lo and positive at hi; from rest
-    Q, z, f = 0.0, np.zeros(len(line.weights)), -target_pdd
-    lo, hi = 0.0, np.inf
+    # the residual scale of `solve_pss` at the Darcy start's rate
+    q_start = target_pdd / (_gain_at_rest(c, line, p)[1] * V)
+    norm_b = q_start * float(np.sqrt(c.load_I @ c.load_I + line.load @ line.load))
     history: list[tuple[float, float]] = []
-    for k in range(1, max_outer + 1):
-        Q -= f / c.output_slope(line, p, z)
-        if not lo < Q < hi:
-            Q = 0.5 * (lo + hi)
-        q = Q / line.volume
-        z, _ = _solve_trace(c, line, p, q, picard_tol, max_picard)
-        pdd = c.output(line, z, q)
-        history.append((Q, pdd))
-        f = pdd - target_pdd
-        if abs(f) <= tol * target_pdd:
-            return SetpointResult(Q, pdd, Q / pdd, k, history)
-        if f < 0:
-            lo = Q
-        else:
-            hi = Q
-    raise ControlError(
-        f"set-point iteration did not reach the target drawdown in {max_outer} steps "
-        f"(last relative error {abs(f) / target_pdd:g}, bracket [{lo:g}, {hi:g}])",
-        history)
+
+    def record(z):
+        q = (V * target_pdd - float(w @ z)) / c.mIu
+        history.append((V * q, c.output(line, z, q)))
+
+    budget = min(max_outer, max_picard)
+    try:
+        _, report = _solve_line(c.S + np.outer(w, w) / c.mIu, line, p,
+                                (V * target_pdd / c.mIu) * w, norm_b,
+                                picard_tol, budget, record)
+    except SolverError as exc:
+        if len(history) < budget:
+            raise
+        raise ControlError(f"set-point solve did not converge in {budget} "
+                           f"steps: {exc}", history) from exc
+    Q, pdd = history[-1]
+    if not abs(pdd - target_pdd) <= tol * target_pdd:
+        raise ControlError(f"set-point drawdown {pdd:g} misses the target "
+                           f"{target_pdd:g} beyond tol {tol:g}", history)
+    return SetpointResult(Q, pdd, Q / pdd, report.iterations, history)

@@ -31,7 +31,8 @@ h t(|z_x|) to a dense S, solved with position 0 pinned to zero.
 `solve_pss` runs it on the condensed trace, whose line has the mesh's
 aperture, and rebuilds the full nodal field with one solve with the
 bordered factor; the reduced slab is the same line problem with S = 0
-at h = 1.
+at h = 1, and the set-point (`fracflow.setpoint`) is it with a rank-one
+term added to S.
 
 The full slab keeps the sparse path on its free (unpinned) nodes, in the
 `_grid_order` of its grid: the tangent's sparsity pattern is built once
@@ -167,8 +168,8 @@ class _Linearization:
     solve: object
 
 
-def _newton(linearize, n: int, tol: float,
-            max_iter: int) -> tuple[np.ndarray, SolveReport]:
+def _newton(linearize, n: int, tol: float, max_iter: int,
+            on_step=None) -> tuple[np.ndarray, SolveReport]:
     """Newton's method on n unknowns, globalized by backtracking on the
     energy.
 
@@ -187,6 +188,7 @@ def _newton(linearize, n: int, tol: float,
     every step: at the minimizer |E| is at least a third of each of its
     terms, so 1e-14 |E| bounds the rounding of the sum.  The loop stops
     when the relative update or the relative residual is at most tol.
+    on_step(z), if given, sees the iterate after each step.
     """
     zero = linearize(np.zeros(n))
     z = zero.solve(-zero.grad)
@@ -219,6 +221,8 @@ def _newton(linearize, n: int, tol: float,
                   / max(float(np.linalg.norm(z_next)), 1e-300))
         history.append((update, trial.residual, step))
         z, state = z_next, trial
+        if on_step is not None:
+            on_step(z)
         if update <= tol or state.residual <= tol:
             return z, SolveReport(k, state.residual, True, smallest)
     raise SolverError(f"Newton did not converge in {max_iter} iterations "
@@ -285,7 +289,7 @@ def _pinned_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
                 b: np.ndarray, norm_b: float, tol: float, max_iter: int,
-                ) -> tuple[np.ndarray, SolveReport]:
+                on_step=None) -> tuple[np.ndarray, SolveReport]:
     """Newton solve of the line problem S z + (line flux at mobility
     h * fbeta_iso(|z_x|)) = b, with h = line.h and position 0 pinned to
     zero: the minimizer of
@@ -293,7 +297,7 @@ def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
         E(z) = 1/2 z.S z + h sum_e ell_e Phi(|z_x|) - b.z,
 
     whose tangent is line.operator(S, h * t(|z_x|)).  norm_b scales the
-    residual.
+    residual; on_step goes to `_newton`.
     """
     norm_b = max(norm_b, 1e-300)
     h = line.h
@@ -308,7 +312,7 @@ def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
         return _Linearization(energy, grad, float(np.linalg.norm(grad)) / norm_b,
                               lambda v: _pinned_solve(line.operator(S, h * t), v))
 
-    return _newton(linearize, len(b), tol, max_iter)
+    return _newton(linearize, len(b), tol, max_iter, on_step)
 
 
 # grid blocks of at most this many nodes keep their natural order in
@@ -400,22 +404,6 @@ class BulkCondensation:
         """Drawdown C of the state with trace values z and interior load
         q * m_I (q = Q / volume; 0 for a state with no interior load)."""
         return (float(line.weights @ z) + q * self.mIu) / line.volume
-
-    def output_slope(self, line: TraceLine, p: FlowParams,
-                     z: np.ndarray) -> float:
-        """dC/dQ at the solved trace state z of `_solve_trace` on line.
-
-        z solves S z + (line flux) = q w with w = line.weights and
-        q = Q / V, V = line.volume, so dz/dq = J^-1 w, J the line's tangent
-        at z, and C = (w . z + q m_I . u) / V gives
-
-            dC/dQ = (w . J^-1 w + m_I . u) / V^2 > 0,
-
-        one dense solve on the trace.
-        """
-        t = _forchheimer(np.abs(line.gradients(z)), p)[1]
-        v = _pinned_solve(line.operator(self.S, line.h * t), line.weights)
-        return (float(line.weights @ v) + self.mIu) / line.volume ** 2
 
     def full_field(self, m: Mesh, z: np.ndarray, q: float) -> ScalarField:
         """Nodal field of trace values z (zero on the well) with interior

@@ -328,10 +328,22 @@ SWEEP = {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3, 1e-2]}
     ("solve", {"output": {"write_vtk": "yes"}}),
     ("validate", {"validate": {"apertures": [0.1, 0.2]}}),
     ("validate", {"validate": {"apertures": [0.1, 0.1]}}),
+    ("solve", {"solver": {"tol": float("inf")}}),
+    ("solve", {"solver": {"tol": 0.0}}),
+    ("solve", {"solver": {"tol": 1.0}}),
+    ("inverse", {"inverse": {"tol": float("inf")}}),
+    ("inverse", {"inverse": {"tol": 0.0}}),
+    ("inverse", {"inverse": {"tol": 1.0}}),
+    ("sweep", {"sweep": dict(SWEEP, tol=float("inf"))}),
+    ("sweep", {"sweep": dict(SWEEP, tol=0.0)}),
+    ("sweep", {"sweep": dict(SWEEP, tol=1.0)}),
 ], ids=["max_picard-float", "max_picard-bool", "max_outer-float",
         "max_outer-bool", "sweep-max_outer-float", "well-letter",
         "well-string", "well-bool", "dir-int", "write_vtk-string",
-        "apertures-increasing", "apertures-repeated"])
+        "apertures-increasing", "apertures-repeated",
+        "solver-tol-inf", "solver-tol-zero", "solver-tol-one",
+        "inverse-tol-inf", "inverse-tol-zero", "inverse-tol-one",
+        "sweep-tol-inf", "sweep-tol-zero", "sweep-tol-one"])
 def test_malformed_value_exits_2(tmp_path, capsys, monkeypatch, command, section):
     # no --out, so that output.dir is the one in use
     monkeypatch.chdir(tmp_path)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from fracflow import (
     ControlError,
@@ -143,21 +144,6 @@ class TestSetpoint:
         z, _ = solve_pss(rect_mesh, p, res.Q, condensation=c)
         assert output_C(rect_mesh, z) == pytest.approx(res.PDD, rel=1e-9)
 
-    def test_bisection_holds_overshooting_steps(self, rect_mesh, monkeypatch):
-        # a slope ten times too small makes Newton overshoot the root; the
-        # bracket turns each step that leaves it into a bisection
-        p = FlowParams(alpha_f=0.05, beta=1e-2)
-        c = condense_bulk(rect_mesh, p.k_p)
-        target = baseline_pdd(rect_mesh, p, 1000.0, condensation=c)
-        ref = solve_setpoint(rect_mesh, p, target, condensation=c)
-        slope = BulkCondensation.output_slope
-        monkeypatch.setattr(BulkCondensation, "output_slope",
-                            lambda self, *args: 0.1 * slope(self, *args))
-        res = solve_setpoint(rect_mesh, p, target, max_outer=50, condensation=c)
-        assert any(pdd < target for _, pdd in res.history[1:])
-        assert outer_steps_in_bracket(res.history, target), res.history
-        assert res.Q == pytest.approx(ref.Q, rel=2e-6)
-
     def test_empty_budget_rejected(self, rect_mesh):
         with pytest.raises(ValueError, match="max_outer"):
             solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), 500.0, max_outer=0)
@@ -185,67 +171,62 @@ class TestSetpoint:
 
 betas = st.one_of(st.just(0.0), st.floats(-6.0, 4.0).map(lambda e: 10.0 ** e))
 lengths = st.sampled_from(range(len(LENGTHS)))
+# the meshes of LENGTHS, the disk and aperture 0
+CASES = [f"L={L:g}" for L in LENGTHS] + ["disk", "bare"]
 
 
-def outer_steps_in_bracket(history, target):
-    """True if every iterate after the first rate above the target lies
-    strictly inside the bracket of the rates before it."""
-    lo, hi = 0.0, np.inf
-    for Q, pdd in history:
-        if np.isfinite(hi) and not lo < Q < hi:
-            return False
-        if pdd < target:
-            lo = max(lo, Q)
-        else:
-            hi = min(hi, Q)
-    return True
+@pytest.fixture(scope="module")
+def cases(family, disk_mesh, bare_mesh):
+    """Each of CASES with the condensation of its node set."""
+    meshes, c = family
+    out = {f"L={L:g}": (m, c) for L, m in zip(LENGTHS, meshes)}
+    out["disk"] = (disk_mesh, condense_bulk(disk_mesh, 1.0))
+    out["bare"] = (bare_mesh, condense_bulk(bare_mesh, 1.0))
+    return out
+
+
+def reference_rate(m, c, p, target):
+    """The rate whose forward trace solve meets the target drawdown, by
+    Brent's method on [0, 2 target / G]: PDD(Q) increases from 0, and drag
+    only raises it above the linear G Q."""
+    line = c.line(m, p.k_p)
+    _, G = step_response(m, p, condensation=c)
+
+    def miss(Q):
+        q = Q / line.volume
+        z, _ = _solve_trace(c, line, p, q, 1e-13, 100)
+        return c.output(line, z, q) - target
+
+    return brentq(miss, 0.0, 2.0 * target / G, xtol=1e-300, rtol=1e-13)
 
 
 class TestSetpointProperties:
     @settings(max_examples=60, deadline=None)
-    @given(beta=betas, j=lengths, log_target=st.floats(-2.0, 5.0))
-    def test_converges_inside_the_bracket(self, family, beta, j, log_target):
-        meshes, c = family
+    @given(beta=betas, case=st.sampled_from(CASES), log_target=st.floats(-2.0, 5.0))
+    def test_matches_a_bracketed_root_find(self, cases, beta, case, log_target):
+        m, c = cases[case]
+        p = FlowParams(alpha_f=ALPHA, beta=beta)
         target = 10.0 ** log_target
-        res = solve_setpoint(meshes[j], FlowParams(alpha_f=ALPHA, beta=beta),
-                             target, condensation=c)
-        assert res.outer_iterations <= 4
-        assert abs(res.PDD - target) <= 1e-6 * target
-        assert outer_steps_in_bracket(res.history, target), res.history
+        res = solve_setpoint(m, p, target, condensation=c)
+        assert res.Q == pytest.approx(reference_rate(m, c, p, target), rel=2e-6)
+        assert abs(res.PDD - target) <= 1e-12 * target
+        assert res.outer_iterations <= 4, res.history
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.sampled_from(["rect", "disk", "bare"]),
            log_k=st.floats(-3.0, 3.0), log_alpha=st.floats(-3.0, 2.0))
     def test_slope_at_rest_is_the_step_response_gain(
             self, rect_mesh, disk_mesh, bare_mesh, shape, log_k, log_alpha):
-        # at rest the trace tangent is the Darcy-limit operator, so the
-        # set-point's first Newton step is target / G
+        # at beta = 0 the drawdown is the gain G of the linear step response
+        # times the rate, so the set-point, solved on the hyperplane
+        # C = target, is the rate target / G, in its one step
         m = {"rect": rect_mesh, "disk": disk_mesh, "bare": bare_mesh}[shape]
-        p = FlowParams(alpha_f=10.0 ** log_alpha, beta=1.0, k_p=10.0 ** log_k)
+        p = FlowParams(alpha_f=10.0 ** log_alpha, beta=0.0, k_p=10.0 ** log_k)
         c = condense_bulk(m, p.k_p)
-        line = c.line(m, p.k_p)
         _, G = step_response(m, p, condensation=c)
-        slope = c.output_slope(line, p, np.zeros(len(line.weights)))
-        assert slope == pytest.approx(G, rel=1e-14, abs=0.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(beta=betas, j=lengths, log_q=st.floats(0.0, 5.0))
-    def test_rate_slope_matches_central_difference(self, family, beta, j, log_q):
-        # dPDD/dQ of the Newton step, from the trace tangent at the solved
-        # state, against a central difference of PDD(Q) at tight inner solves
-        meshes, c = family
-        p = FlowParams(alpha_f=ALPHA, beta=beta)
-        line = c.line(meshes[j], p.k_p)
-
-        def solved(Q):
-            z, _ = _solve_trace(c, line, p, Q / line.volume, 1e-12, 100)
-            return z, c.output(line, z, Q / line.volume)
-
-        Q = 10.0 ** log_q
-        dQ = 1e-3 * Q
-        fd = (solved(Q + dQ)[1] - solved(Q - dQ)[1]) / (2.0 * dQ)
-        slope = c.output_slope(line, p, solved(Q)[0])
-        assert slope == pytest.approx(fd, rel=1e-5)
+        res = solve_setpoint(m, p, 500.0, condensation=c)
+        assert res.outer_iterations == 1
+        assert res.Q == pytest.approx(500.0 / G, rel=1e-12, abs=0.0)
 
     @settings(max_examples=25, deadline=None)
     @given(beta=betas, j=lengths)
