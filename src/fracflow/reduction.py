@@ -115,9 +115,11 @@ def _slab_mesh(L: float, h: float, resolution: float) -> Mesh:
 
 def _solve_pair(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
                 q_over_v: float):
-    full, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=_SLAB_TOL)
     red, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=_SLAB_TOL,
                         reduced=True)
+    # the full solve is a correction to the reduced solution
+    full, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=_SLAB_TOL,
+                         reduced_field=red)
     return full, red
 
 

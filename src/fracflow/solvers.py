@@ -20,10 +20,11 @@ gives r and m_I . u.  A mesh family (a sweep) shares one node set, so one
 condensation over the union of its fracture nodes serves every cell.
 
 Every nonlinear solve is Newton's method on a strictly convex energy,
-globalized by backtracking on that energy (`_newton`).  The Forchheimer
-flux s f(s) has the closed-form tangent t(s) = 1/sqrt(alpha^2 + 4 beta s)
-and the drag potential Phi(s) = int_0^s sigma f(sigma) dsigma
-(`_forchheimer`).
+globalized by backtracking on that energy (`_newton`), and converged only
+when its residual meets the tolerance or, stalled, its rounding floor.
+The Forchheimer flux s f(s) has the closed-form tangent
+t(s) = 1/sqrt(alpha^2 + 4 beta s) and the drag potential
+Phi(s) = int_0^s sigma f(sigma) dsigma (`_forchheimer`).
 
 `_solve_line` solves the 1-D Forchheimer line problem of a `TraceLine`
 at its aperture h: its tangent adds the line stiffness at coefficient
@@ -35,7 +36,10 @@ at h = 1, and the set-point (`fracflow.setpoint`) is it with a rank-one
 term added to S.
 
 The full slab keeps the sparse path on its free (unpinned) nodes, in the
-`_grid_order` of its grid: the tangent's sparsity pattern is built once
+`_grid_order` of its grid, and is solved for its correction to the
+reduced slab's solution, which is close to it because the slab is thin:
+Newton starts at that solution, and no gradient is the difference of two
+nearly equal large fields.  The tangent's sparsity pattern is built once
 per solve, and each Newton step refills its values and solves it by
 `_solve_spd`, which raises SolverError on a result it cannot verify.
 Every sparse factorization, bulk or slab, is one recipe (`_ldlt`):
@@ -154,18 +158,36 @@ def _forchheimer(s, p: FlowParams):
     return f, 1.0 / u, (s * f) ** 2 * (a / 2.0 + delta / 3.0)
 
 
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), with u the unit roundoff: the relative
+    rounding bound of a sum or dot product of n terms (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, ch. 3)."""
+    nu = n * np.finfo(float).eps / 2.0
+    return nu / (1.0 - nu)
+
+
 @dataclass(frozen=True)
 class _Linearization:
     """A strictly convex energy E and its derivatives at one state.
 
     grad: grad E, zero on pinned entries.  residual: |grad E| relative to
     the load.  solve(v): x = J^-1 v with J the tangent (the Hessian of E).
+    rounding(): (a bound on the rounding of E, the rounding floor of
+    residual), computed from the magnitudes of their terms only when
+    asked; without it E is its own only term and the floor is 0.
     """
 
     energy: float
     grad: np.ndarray
     residual: float
     solve: object
+    rounding: object = None
+
+    def bounds(self) -> tuple[float, float]:
+        """rounding(), or its default."""
+        if self.rounding is None:
+            return _gamma(len(self.grad)) * abs(self.energy), 0.0
+        return self.rounding()
 
 
 def _newton(linearize, n: int, tol: float, max_iter: int,
@@ -174,20 +196,27 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
     energy.
 
     linearize(z) returns the `_Linearization` at z.  The start iterate is
-    the full Newton step from zero, which is the Darcy-limit solve (the
-    tangent at zero gradient is the mobility 1/alpha): exact when
-    beta = 0, and short of the solution's gradients otherwise (f <=
-    1/alpha), from where Newton on the concave flux s f(s) does not
-    overshoot, in one dimension.  A start beyond them (such as a linear
-    solve at a mobility far below 1/alpha) can make full steps flip the
-    gradient's sign for many steps.
+    the full Newton step from zero.  Where z is the field itself, that is
+    the Darcy-limit solve (the tangent at zero gradient is the mobility
+    1/alpha): exact when beta = 0, and short of the solution's gradients
+    otherwise (f <= 1/alpha), from where Newton on the concave flux
+    s f(s) does not overshoot, in one dimension.  A start beyond them
+    (such as a linear solve at a mobility far below 1/alpha) can make
+    full steps flip the gradient's sign for many steps.  Where z is a
+    correction to an approximate solution (the full slab's to its
+    reduction), zero is that approximation and the start its Newton step.
 
     A step's length halves from 1 until E falls by at least 1e-4 of the
     first-order prediction, or until both the predicted and the actual
-    change are below the rounding of E, which near convergence holds for
-    every step: at the minimizer |E| is at least a third of each of its
-    terms, so 1e-14 |E| bounds the rounding of the sum.  The loop stops
-    when the relative update or the relative residual is at most tol.
+    change are below the rounding of the change, the sum of the two
+    energies' rounding bounds (`_Linearization.rounding`), which near
+    convergence holds for every step.  The bounds are computed only when
+    the first test fails.
+
+    The loop stops converged when the relative residual is at most tol.
+    When the relative update is at most tol first, the iterate has
+    stalled: it counts as converged if its residual is within its rounding
+    floor, and raises SolverError with the history otherwise.
     on_step(z), if given, sees the iterate after each step.
     """
     zero = linearize(np.zeros(n))
@@ -204,13 +233,16 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
             raise SolverError(f"Newton step {k} left the finite range", history)
         slope = float(state.grad @ d)
         step = 1.0
+        base_rounding = None
         while True:
             z_next = z + step * d
             trial = linearize(z_next)
             change = trial.energy - state.energy
-            rounding = 1e-14 * max(abs(state.energy), abs(trial.energy))
-            if (change <= 1e-4 * step * slope
-                    or max(change, -step * slope) <= rounding):
+            if change <= 1e-4 * step * slope:
+                break
+            if base_rounding is None:
+                base_rounding = state.bounds()[0]
+            if max(change, -step * slope) <= base_rounding + trial.bounds()[0]:
                 break
             step /= 2.0
             if step < 1e-10:
@@ -223,8 +255,15 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
         z, state = z_next, trial
         if on_step is not None:
             on_step(z)
-        if update <= tol or state.residual <= tol:
+        if state.residual <= tol:
             return z, SolveReport(k, state.residual, True, smallest)
+        if update <= tol:
+            floor = state.bounds()[1]
+            if state.residual <= floor:
+                return z, SolveReport(k, state.residual, True, smallest)
+            raise SolverError(f"Newton stalled in step {k} at residual "
+                              f"{state.residual:g}, above its rounding floor "
+                              f"{floor:g}", history)
     raise SolverError(f"Newton did not converge in {max_iter} iterations "
                       f"(last residual {history[-1][1]:g})", history)
 
@@ -297,20 +336,36 @@ def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
         E(z) = 1/2 z.S z + h sum_e ell_e Phi(|z_x|) - b.z,
 
     whose tangent is line.operator(S, h * t(|z_x|)).  norm_b scales the
-    residual; on_step goes to `_newton`.
+    residual; on_step goes to `_newton`.  The rounding of E and grad E is
+    bounded from |S| |z|, |flux| and |b|, by gamma_2n, since z.Sz nests
+    two sums of n terms.
     """
     norm_b = max(norm_b, 1e-300)
     h = line.h
+    n = len(b)
+    gamma = _gamma(2 * n)
 
     def linearize(z):
         gx = line.gradients(z)
         f, t, phi = _forchheimer(np.abs(gx), p)
         Sz = S @ z
-        grad = Sz + line.flux(h * f * gx) - b
+        coef = h * f * gx
+        grad = Sz + line.flux(coef) - b
         grad[0] = 0.0
         energy = 0.5 * float(z @ Sz) + h * float(line.ell @ phi) - float(b @ z)
+
+        def rounding():
+            Sz_abs = np.abs(S) @ np.abs(z)
+            terms = (0.5 * float(np.abs(z) @ Sz_abs) + h * float(line.ell @ phi)
+                     + float(np.abs(b) @ np.abs(z)))
+            magnitude = Sz_abs + np.abs(b) + np.bincount(
+                line.edges.ravel(), weights=np.repeat(np.abs(coef), 2), minlength=n)
+            magnitude[0] = 0.0
+            return gamma * terms, gamma * float(np.linalg.norm(magnitude)) / norm_b
+
         return _Linearization(energy, grad, float(np.linalg.norm(grad)) / norm_b,
-                              lambda v: _pinned_solve(line.operator(S, h * t), v))
+                              lambda v: _pinned_solve(line.operator(S, h * t), v),
+                              rounding)
 
     return _newton(linearize, len(b), tol, max_iter, on_step)
 
@@ -526,13 +581,40 @@ def _slab_constitutive(g: np.ndarray, p: FlowParams, flavor: str):
             phi + 0.5 * k * g[:, 1] ** 2)
 
 
+def _reduced_slab(m: Mesh, p: FlowParams, q_plus, q_minus, q_over_v: float,
+                  tol: float, max_iter: int) -> tuple[ScalarField, SolveReport]:
+    """The reduced slab, solved as the line of a zero bulk at aperture 1
+    on the slab's x nodes (trapezoid weights) and extended by x index."""
+    xs = np.unique(m.nodes[:, 0])
+    dx = np.diff(xs)
+    wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
+    b = wx * (q_over_v - (_at_points(q_plus, xs) + _at_points(q_minus, xs))
+              / m.aperture)
+    edges = np.column_stack([np.arange(len(dx)), np.arange(1, len(xs))])
+    z, report = _solve_line(np.zeros((len(xs), len(xs))),
+                            TraceLine(1.0, edges, dx, wx, wx, float(xs[-1])),
+                            p, b, float(np.linalg.norm(b)), tol, max_iter)
+    return ScalarField(z[np.searchsorted(xs, m.nodes[:, 0])], m), report
+
+
 def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
                q_over_v: float, tol: float = 1e-9, max_iter: int = 100,
-               reduced: bool = False) -> tuple[ScalarField, SolveReport]:
+               reduced: bool = False, *,
+               reduced_field: ScalarField | None = None,
+               ) -> tuple[ScalarField, SolveReport]:
     """Newton solve of the slab problem (full or reduced form).
 
     The full slab minimizes sum_T area_T Psi(grad W) - rhs . W over the
     fields that vanish on the pressure-pinned boundary, on its free nodes.
+    It is solved for the correction delta = W - Wbar to the reduced
+    solution Wbar (`reduced_field`, this slab's ``reduced=True`` solution;
+    solved here when not passed, and read as zero on the pinned nodes),
+    from delta = 0: the thin slab's W is close to Wbar.  Every triangle's
+    gradient is the sum g(Wbar) + g(delta), with g(Wbar) computed once; on
+    the grid slab g_y(Wbar) is exactly zero, so the flux across the
+    fracture is computed from delta alone, free of the cancellation of
+    two nearly equal large fields.  The line search descends the full
+    energy at Wbar + delta.
 
     With ``reduced=True`` the lateral inflow moves into the volumetric
     source q_over_v - (q+(x)+q-(x))/h and the lateral boundary becomes
@@ -542,16 +624,10 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     """
     _check_slab(m, flavor)
     if reduced:
-        xs = np.unique(m.nodes[:, 0])
-        dx = np.diff(xs)
-        wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
-        b = wx * (q_over_v - (_at_points(q_plus, xs) + _at_points(q_minus, xs))
-                  / m.aperture)
-        edges = np.column_stack([np.arange(len(dx)), np.arange(1, len(xs))])
-        z, report = _solve_line(np.zeros((len(xs), len(xs))),
-                                TraceLine(1.0, edges, dx, wx, wx, float(xs[-1])),
-                                p, b, float(np.linalg.norm(b)), tol, max_iter)
-        return ScalarField(z[np.searchsorted(xs, m.nodes[:, 0])], m), report
+        return _reduced_slab(m, p, q_plus, q_minus, q_over_v, tol, max_iter)
+    if reduced_field is None:
+        reduced_field, _ = _reduced_slab(m, p, q_plus, q_minus, q_over_v,
+                                         tol, max_iter)
 
     rhs = slab_rhs(m, q_plus, q_minus, float(q_over_v))
     pinned = np.isin(np.arange(m.num_nodes), dirichlet_nodes(m))
@@ -560,25 +636,43 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     area, grads = _tri_geometry(m)
     tangent_matrix = _free_block_assembler(m, free)
     norm_rhs = max(float(np.linalg.norm(rhs)), 1e-300)
+    w_bar = np.where(pinned, 0.0, reduced_field.values)
+    w_bar_f = w_bar[free]
+    g_bar = triangle_gradients(m, w_bar)
+    # E sums a term per triangle and per free node; a row of grad E sums
+    # the load and its triangles' terms, each a 2-term dot times an area
+    gamma_energy = _gamma(len(area) + len(free))
+    gamma_row = _gamma(int(np.bincount(m.triangles.ravel()).max()) + 4)
 
-    def field(w_f):
-        w = np.zeros(m.num_nodes)
-        w[free] = w_f
-        return w
+    def field(d_f):
+        d = np.zeros(m.num_nodes)
+        d[free] = d_f
+        return d
 
-    def linearize(w_f):
-        g = triangle_gradients(m, field(w_f))
+    def linearize(d_f):
+        g = g_bar + triangle_gradients(m, field(d_f))
         flux, tangent, psi = _slab_constitutive(g, p, flavor)
         element = np.einsum("tid,td->ti", grads, flux) * area[:, None]
         grad = np.bincount(m.triangles.ravel(), weights=element.ravel(),
                            minlength=m.num_nodes)[free] - rhs_f
+        w_f = w_bar_f + d_f
         energy = float(area @ psi) - float(rhs_f @ w_f)
+
+        def rounding():
+            magnitude = np.bincount(m.triangles.ravel(),
+                                    weights=np.abs(element).ravel(),
+                                    minlength=m.num_nodes)[free] + np.abs(rhs_f)
+            terms = float(area @ psi) + float(np.abs(rhs_f) @ np.abs(w_f))
+            return (gamma_energy * terms,
+                    gamma_row * float(np.linalg.norm(magnitude)) / norm_rhs)
+
         return _Linearization(
             energy, grad, float(np.linalg.norm(grad)) / norm_rhs,
-            lambda v: _solve_spd(tangent_matrix(_local_stiffness(m, tangent)), v))
+            lambda v: _solve_spd(tangent_matrix(_local_stiffness(m, tangent)), v),
+            rounding)
 
-    w_f, report = _newton(linearize, len(free), tol, max_iter)
-    return ScalarField(field(w_f), m), report
+    d_f, report = _newton(linearize, len(free), tol, max_iter)
+    return ScalarField(w_bar + field(d_f), m), report
 
 
 def pss_energy(m: Mesh, p: FlowParams, W, Q: float) -> float:

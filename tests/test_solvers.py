@@ -77,8 +77,8 @@ def count_calls(monkeypatch, name):
 
 def record_accepted_states(monkeypatch):
     """States the Newton loop accepts, in order: every state whose tangent
-    system it solves (zero for the Darcy start, then the base of each
-    step) and the state it returns."""
+    system it solves (zero for the start, then the base of each step) and
+    the state it returns."""
     states = []
     newton = fracflow.solvers._newton
 
@@ -98,6 +98,22 @@ def record_accepted_states(monkeypatch):
 
     monkeypatch.setattr(fracflow.solvers, "_newton", recording)
     return states
+
+
+def record_linearizations(monkeypatch):
+    """Every `_Linearization` the Newton loop builds, in order."""
+    built = []
+    newton = fracflow.solvers._newton
+
+    def recording(linearize, *args, **kwargs):
+        def tracked(z):
+            built.append(linearize(z))
+            return built[-1]
+
+        return newton(tracked, *args, **kwargs)
+
+    monkeypatch.setattr(fracflow.solvers, "_newton", recording)
+    return built
 
 
 def gradient_scale(s, p):
@@ -207,13 +223,41 @@ class TestNewton:
         assert rep.converged and rep.damping_used == 0.25
         assert np.allclose(z, np.linalg.solve(A, b), rtol=1e-12)
 
+    @staticmethod
+    def half_solved(rounding=None):
+        """E = |z|^2 / 2 - b.z with a tangent solve that never moves the
+        second unknown: Newton stalls at z = (1, 0), residual 1/sqrt(2)."""
+        b = np.array([1.0, 1.0])
+
+        def linearize(z):
+            grad = z - b
+            return _Linearization(0.5 * z @ z - b @ z, grad,
+                                  float(np.linalg.norm(grad) / np.linalg.norm(b)),
+                                  lambda v: np.array([v[0], 0.0]), rounding)
+
+        return linearize
+
+    def test_stalled_iterate_above_its_rounding_floor_raises(self):
+        # the update test alone used to report this iterate converged
+        with pytest.raises(SolverError, match="stalled in step 1 at residual "
+                                              "0.707107, above its rounding "
+                                              "floor 0") as err:
+            _newton(self.half_solved(), 2, 1e-9, 20)
+        assert err.value.history == [(0.0, pytest.approx(2 ** -0.5), 1.0)]
+
+    def test_stalled_iterate_within_its_rounding_floor_converges(self):
+        z, rep = _newton(self.half_solved(lambda: (0.0, 1.0)), 2, 1e-9, 20)
+        assert rep.converged and rep.iterations == 1
+        assert rep.final_residual == pytest.approx(2 ** -0.5)
+        assert np.array_equal(z, [1.0, 0.0])
+
     def test_singular_factor_raises_with_step_history(self, monkeypatch):
         splu = fracflow.solvers.splu
         calls = []
 
         def failing(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 3:  # Darcy start, step 1, then step 2 fails
+            if len(calls) == 3:  # the start, step 1, then step 2 fails
                 raise RuntimeError("Factor is exactly singular")
             return splu(*args, **kwargs)
 
@@ -408,7 +452,7 @@ class TestSolveSlab:
                 <= (tol + 1e-10) * np.linalg.norm(slab_rhs(m, q, q, q_over_v)))
 
     @pytest.mark.parametrize("q0", [4.0, 8.0])
-    def test_deep_drag_isotropic_slab_converges(self, q0):
+    def test_deep_drag_isotropic_slab_converges(self, q0, monkeypatch):
         # the full slab of the isotropic validate gate at beta = 1
         # (test_validate_isotropic_gate_fails_in_deep_drag_regime)
         m = build_fracture_slab_mesh(1.0, 0.1, 32, 8)
@@ -418,9 +462,15 @@ class TestSolveSlab:
         assert rep.converged and rep.iterations <= 10
         r = assemble_slab_residual(m, p, W, "isotropic", q, q, 0.0)
         assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(slab_rhs(m, q, q, 0.0))
-        # a tol below the residual's rounding floor: the update test stops it
-        _, rep = solve_slab(m, p, "isotropic", q, q, 0.0, tol=1e-14)
-        assert rep.converged and rep.final_residual > 1e-14
+        # with the gradients split as g(Wbar) + g(W - Wbar) the solve reaches
+        # its residual's rounding floor, even with a tol below that floor
+        red, _ = solve_slab(m, p, "isotropic", q, q, 0.0, tol=1e-14, reduced=True)
+        states = record_linearizations(monkeypatch)
+        _, rep = solve_slab(m, p, "isotropic", q, q, 0.0, tol=1e-14,
+                            reduced_field=red)
+        floor = states[-1].bounds()[1]
+        assert floor > 1e-14
+        assert rep.converged and rep.final_residual <= floor
 
     def test_strong_contrast_slab_raises_or_solves(self):
         # where t(|g_x|) << 1/alpha_f the anisotropic tangent is badly scaled
@@ -448,8 +498,10 @@ class TestSolveSlab:
         m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
         p = FlowParams(alpha_f=1.0, beta=1.0)
         q = lambda x: 4.0 * (1.0 - x)
+        red, _ = solve_slab(m, p, flavor, q, q, 0.5, tol=1e-12, reduced=True)
+        # the full solve's corrections W - Wbar to its reduction Wbar
         states = record_accepted_states(monkeypatch)
-        _, rep = solve_slab(m, p, flavor, q, q, 0.5, tol=1e-12)
+        _, rep = solve_slab(m, p, flavor, q, q, 0.5, tol=1e-12, reduced_field=red)
         assert len(states) == rep.iterations + 2
         # the solver's free nodes, in its order
         pinned = np.isin(np.arange(m.num_nodes), dirichlet_nodes(m))
@@ -457,9 +509,9 @@ class TestSolveSlab:
         rhs = slab_rhs(m, q, q, 0.5)
         area, _ = _tri_geometry(m)
         energies = []
-        for w_free in states:
-            w = np.zeros(m.num_nodes)
-            w[free] = w_free
+        for delta_free in states:
+            w = red.values.copy()
+            w[free] += delta_free
             g = triangle_gradients(m, w)
             if flavor == "isotropic":
                 psi = _forchheimer(np.linalg.norm(g, axis=1), p)[2]
@@ -469,11 +521,12 @@ class TestSolveSlab:
             energies.append(float(area @ psi - rhs @ w))
         e = np.array(energies)
         assert np.all(np.diff(e) <= 1e-12 * np.abs(e[1:]))
-        assert e[-1] < e[1] < e[0] == 0.0
+        assert e[-1] < e[1] < e[0]  # e[0] is the energy of Wbar
 
     def test_full_slab_refills_one_pattern(self, monkeypatch):
-        # no constraint elimination: one factorization for the Darcy start
-        # and one per Newton step, the last state needs none
+        # no constraint elimination: one factorization for the start (the
+        # Newton step from the reduced solution) and one per Newton step,
+        # the last state needs none
         factorizations = count_calls(monkeypatch, "splu")
         eliminations = count_calls(monkeypatch, "apply_constraints")
         m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
@@ -597,3 +650,45 @@ def test_every_factorization_follows_one_recipe(tmp_path, monkeypatch):
         identity = np.arange(len(perm_r))
         assert np.array_equal(perm_r, identity)
         assert np.array_equal(perm_c, identity)
+
+
+def test_criterion_11_validate_factorizes_once_per_full_step(tmp_path, monkeypatch):
+    # the acceptance validate configs (criterion 11): each full slab is
+    # solved as a correction to the reduced solution its report already
+    # has, so it makes 18 factorizations in 12 Newton steps (32 when every
+    # full solve started from the Darcy limit)
+    calls = count_calls(monkeypatch, "splu")
+    slab = {"shape": "rectangle", "width": 100.0, "height": 80.0,
+            "fracture_length": 1.0, "aperture": 1.0, "resolution": 1.0 / 32}
+    runs = [
+        {"params": {"alpha_f": 1.0, "beta": 1.0},
+         "validate": {"flavor": "anisotropic", "apertures": [0.2, 0.1, 0.05],
+                      "q0": 2.0}},
+        {"params": {"alpha_f": 1.0, "beta": 0.1},
+         "validate": {"flavor": "isotropic", "apertures": [0.1], "q0": 0.1,
+                      "scalings": [1.0, 2.0, 4.0]}},
+    ]
+    for k, config in enumerate(runs):
+        cfg = tmp_path / f"{k}.json"
+        cfg.write_text(json.dumps(dict(config, command="validate", domain=slab)))
+        assert main(["validate", "--config", str(cfg),
+                     "--out", str(tmp_path / f"out{k}")]) == 0
+    assert len(calls) == 18
+
+
+def test_solve_meets_its_tolerance_where_a_late_step_raises_the_energy(tmp_path):
+    # the last Newton step of this trace solve raises the computed energy by
+    # more than 1e-14 |E| but less than the rounding of its terms; a line
+    # search that halved it stopped on the update test at a residual of
+    # 5.4e-7, far above the default tol of 1e-9
+    cfg = tmp_path / "solve.json"
+    cfg.write_text(json.dumps({
+        "command": "solve",
+        "domain": {"shape": "rectangle", "width": 100.0, "height": 80.0,
+                   "aperture": 1.0, "resolution": 0.5, "grading": 1.3,
+                   "fracture_length": 50.0},
+        "params": {"alpha_f": 0.05, "beta": 1.0},
+        "solve": {"q": 1000.0}}))
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["final_residual"] <= 1e-9
