@@ -174,24 +174,18 @@ class _Linearization:
     the load.  solve(v): x = J^-1 v with J the tangent (the Hessian of E).
     rounding(): (a bound on the rounding of E, the rounding floor of
     residual), computed from the magnitudes of their terms only when
-    asked; without it E is its own only term and the floor is 0.
+    asked; (0, 0) unless given.
     """
 
     energy: float
     grad: np.ndarray
     residual: float
     solve: object
-    rounding: object = None
-
-    def bounds(self) -> tuple[float, float]:
-        """rounding(), or its default."""
-        if self.rounding is None:
-            return _gamma(len(self.grad)) * abs(self.energy), 0.0
-        return self.rounding()
+    rounding: object = lambda: (0.0, 0.0)
 
 
 def _newton(linearize, n: int, tol: float, max_iter: int,
-            on_step=None) -> tuple[np.ndarray, SolveReport]:
+            on_step=None, origin=0.0) -> tuple[np.ndarray, SolveReport]:
     """Newton's method on n unknowns, globalized by backtracking on the
     energy.
 
@@ -203,7 +197,7 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
     s f(s) does not overshoot, in one dimension.  A start beyond them
     (such as a linear solve at a mobility far below 1/alpha) can make
     full steps flip the gradient's sign for many steps.  Where z is a
-    correction to an approximate solution (the full slab's to its
+    correction to an approximate solution origin (the full slab's to its
     reduction), zero is that approximation and the start its Newton step.
 
     A step's length halves from 1 until E falls by at least 1e-4 of the
@@ -214,7 +208,9 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
     the first test fails.
 
     The loop stops converged when the relative residual is at most tol.
-    When the relative update is at most tol first, the iterate has
+    When first a step's update relative to the solution, |dz| / |origin +
+    z|, is at most tol and it cuts the residual by less than half (a
+    Newton step near the solution cuts it by far more), the iterate has
     stalled: it counts as converged if its residual is within its rounding
     floor, and raises SolverError with the history otherwise.
     on_step(z), if given, sees the iterate after each step.
@@ -241,8 +237,8 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
             if change <= 1e-4 * step * slope:
                 break
             if base_rounding is None:
-                base_rounding = state.bounds()[0]
-            if max(change, -step * slope) <= base_rounding + trial.bounds()[0]:
+                base_rounding = state.rounding()[0]
+            if max(change, -step * slope) <= base_rounding + trial.rounding()[0]:
                 break
             step /= 2.0
             if step < 1e-10:
@@ -250,15 +246,16 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
                                   f"(residual {state.residual:g})", history)
         smallest = min(smallest, step)
         update = (float(np.linalg.norm(z_next - z))
-                  / max(float(np.linalg.norm(z_next)), 1e-300))
+                  / max(float(np.linalg.norm(origin + z_next)), 1e-300))
         history.append((update, trial.residual, step))
+        stalled = update <= tol and trial.residual > 0.5 * state.residual
         z, state = z_next, trial
         if on_step is not None:
             on_step(z)
         if state.residual <= tol:
             return z, SolveReport(k, state.residual, True, smallest)
-        if update <= tol:
-            floor = state.bounds()[1]
+        if stalled:
+            floor = state.rounding()[1]
             if state.residual <= floor:
                 return z, SolveReport(k, state.residual, True, smallest)
             raise SolverError(f"Newton stalled in step {k} at residual "
@@ -614,7 +611,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     the grid slab g_y(Wbar) is exactly zero, so the flux across the
     fracture is computed from delta alone, free of the cancellation of
     two nearly equal large fields.  The line search descends the full
-    energy at Wbar + delta.
+    energy at Wbar + delta, and its updates are relative to Wbar + delta.
 
     With ``reduced=True`` the lateral inflow moves into the volumetric
     source q_over_v - (q+(x)+q-(x))/h and the lateral boundary becomes
@@ -624,6 +621,9 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     """
     _check_slab(m, flavor)
     if reduced:
+        if reduced_field is not None:
+            raise ValueError("reduced_field is the start of a full solve; "
+                             "a reduced solve takes none")
         return _reduced_slab(m, p, q_plus, q_minus, q_over_v, tol, max_iter)
     if reduced_field is None:
         reduced_field, _ = _reduced_slab(m, p, q_plus, q_minus, q_over_v,
@@ -671,7 +671,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
             lambda v: _solve_spd(tangent_matrix(_local_stiffness(m, tangent)), v),
             rounding)
 
-    d_f, report = _newton(linearize, len(free), tol, max_iter)
+    d_f, report = _newton(linearize, len(free), tol, max_iter, origin=w_bar_f)
     return ScalarField(w_bar + field(d_f), m), report
 
 
