@@ -8,12 +8,14 @@
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 trend or error-bound check failure (sweep/validate).
 
-solver.tol and solver.max_picard bound every Newton solve of solve,
-inverse and sweep (max_picard counts Newton steps; the key and the
-summary's picard_iterations keep their historical names); the retired
-"threads" and solver.theta are rejected as unknown keys (exit 2).  A
-sweep runs its cells serially; it needs at least 3 lengths and 2 betas
-for its trend check (exit 2 before any work otherwise).
+solver.tol ends every Newton solve of solve, inverse and sweep.
+solver.max_picard bounds the Newton steps of the forward solves (the key
+and the summary's picard_iterations keep their historical names);
+inverse.max_outer and sweep.max_outer bound the set-point's.  The
+retired "threads", solver.theta, inverse.tol and sweep.tol are rejected
+as unknown keys (exit 2).  A sweep runs its cells serially; it needs at
+least 3 lengths and 2 betas for its trend check (exit 2 before any work
+otherwise).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .assembly import output_C
@@ -70,10 +73,9 @@ def _cmd_inverse(spec: RunSpec, out: Path) -> int:
     if target is None:
         target = baseline_pdd(mesh, spec.params, spec.inverse.q_baseline,
                               condensation=condensation)
-    result = solve_setpoint(
-        mesh, spec.params, target, tol=spec.inverse.tol,
-        max_outer=spec.inverse.max_outer, picard_tol=spec.solver.tol,
-        max_picard=spec.solver.max_picard, condensation=condensation)
+    result = solve_setpoint(mesh, spec.params, target, picard_tol=spec.solver.tol,
+                            max_outer=spec.inverse.max_outer,
+                            condensation=condensation)
     _write_json({
         "target_PDD": target,
         "Q": result.Q,
@@ -92,31 +94,14 @@ def _cmd_inverse(spec: RunSpec, out: Path) -> int:
 
 def _cmd_sweep(spec: RunSpec, out: Path) -> int:
     s = spec.sweep
-    # the trend check runs on every complete table, so reject a table it
-    # cannot judge before any work
-    if len(s.lengths) < 3 or len(s.betas) < 2:
-        raise ConfigError("the sweep's trend check needs >= 3 sweep.lengths "
-                          "and >= 2 sweep.betas")
-    table = run_sweep(spec.domain, s.lengths, s.betas, s.q_baseline,
-                      spec.params, tol=s.tol, max_outer=s.max_outer,
-                      picard_tol=spec.solver.tol,
-                      max_picard=spec.solver.max_picard)
+    table = run_sweep(spec.domain, s.lengths, s.betas, s.q_baseline, spec.params,
+                      picard_tol=spec.solver.tol, max_outer=s.max_outer)
     write_sweep_csv(table, out / "sweep.csv")
     if table.failed:
         print(f"{len(table.failed)} sweep cells failed to converge", file=sys.stderr)
         return EXIT_SOLVER
     diag = trend_check(table)
-    _write_json({
-        "increasing_with_length": diag.increasing_with_length,
-        "decreasing_with_drag": diag.decreasing_with_drag,
-        "saturated": diag.saturated,
-        "offending_length_cells": diag.offending_length_cells,
-        "offending_drag_cells": diag.offending_drag_cells,
-        "ratio_smallest_beta": diag.ratio_smallest_beta,
-        "ratio_largest_beta": diag.ratio_largest_beta,
-        "indeterminate": diag.indeterminate,
-        "passed": diag.passed,
-    }, out / "trend_check.json")
+    _write_json(dict(asdict(diag), passed=diag.passed), out / "trend_check.json")
     return EXIT_OK if diag.passed else EXIT_CHECK
 
 

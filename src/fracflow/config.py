@@ -63,7 +63,6 @@ class SolveSettings:
 class InverseSettings:
     target_pdd: float | None = None  # None: use the unfractured baseline
     q_baseline: float = 1000.0
-    tol: float = 1e-6
     max_outer: int = 50
 
     def __post_init__(self):
@@ -72,8 +71,6 @@ class InverseSettings:
             raise ConfigError("inverse.target_pdd must be finite and > 0")
         if not (math.isfinite(self.q_baseline) and self.q_baseline > 0):
             raise ConfigError("inverse.q_baseline must be finite and > 0")
-        if not 0 < self.tol < 1:  # NaN and Infinity fail too
-            raise ConfigError("inverse.tol must be in (0, 1)")
         _check_count(self.max_outer, "inverse.max_outer")
 
 
@@ -82,7 +79,6 @@ class SweepSettings:
     lengths: list = field(default_factory=list)
     betas: list = field(default_factory=list)
     q_baseline: float = 1000.0
-    tol: float = 1e-6
     max_outer: int = 50
 
     def __post_init__(self):
@@ -92,8 +88,6 @@ class SweepSettings:
             raise ConfigError("sweep.betas must all be finite and >= 0")
         if not (math.isfinite(self.q_baseline) and self.q_baseline > 0):
             raise ConfigError("sweep.q_baseline must be finite and > 0")
-        if not 0 < self.tol < 1:  # NaN and Infinity fail too
-            raise ConfigError("sweep.tol must be in (0, 1)")
         _check_count(self.max_outer, "sweep.max_outer")
 
 
@@ -155,6 +149,12 @@ class RunSpec:
         if (self.command == "validate" and self.validate.flavor == "anisotropic"
                 and not self.params.beta > 0):
             raise ConfigError("validate with the anisotropic flavor requires params.beta > 0")
+        # the trend check runs on every complete table, so a sweep it
+        # cannot judge is rejected before any work
+        if self.command == "sweep" and (len(self.sweep.lengths) < 3
+                                        or len(self.sweep.betas) < 2):
+            raise ConfigError("the sweep's trend check needs >= 3 sweep.lengths "
+                              "and >= 2 sweep.betas")
 
 
 _SECTION_TYPES = {

@@ -13,8 +13,10 @@ the minimizer of the strictly convex trace energy on the hyperplane
 C = target (equality-constrained Newton; Boyd & Vandenberghe, *Convex
 Optimization*, 2004, sec. 10.2).  One `_solve_line` call solves it, with
 no loop over rates; its gradient is the trace residual at the implied
-rate, so its stop tolerance means what it means for `solve_pss`.  The
-Darcy start is exact at beta = 0 or aperture 0: one step ends the solve.
+rate, so its stop tolerance means what it means for `solve_pss`.  Every
+iterate meets the target, so a set-point has that one tolerance and one
+step budget, and no tolerance on the drawdown.  The Darcy start is exact
+at beta = 0 or aperture 0: one step ends the solve.
 A set-point solve condenses the bulk once, or not at all when the caller
 passes the condensation of its node set.
 """
@@ -29,7 +31,7 @@ from .assembly import ScalarField
 from .errors import ControlError, SolverError
 from .kernels import FlowParams
 from .meshing import Mesh
-from .solvers import BulkCondensation, TraceLine, _pinned_solve, _solve_line, condense_bulk
+from .solvers import BulkCondensation, TraceLine, _gamma, _pinned_solve, _solve_line, condense_bulk
 
 __all__ = ["SetpointResult", "baseline_pdd", "step_response", "solve_setpoint"]
 
@@ -40,7 +42,8 @@ class SetpointResult:
 
     J_p is the diffusive capacity Q / PDD, the productivity index of the
     fractured configuration; outer_iterations counts the Newton steps of
-    the constrained solve, and history holds the (Q, PDD) pair of each.  The field at the rate is `solve_pss(m, p, result.Q)`.
+    the constrained solve, and history holds the (Q, PDD) pair of each.
+    The field at the rate is `solve_pss(m, p, result.Q)`.
     """
 
     Q: float
@@ -83,18 +86,18 @@ def step_response(m: Mesh, p: FlowParams, *,
     return c.full_field(m, q * v, q), G
 
 
-def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
-                   tol: float = 1e-6, max_outer: int = 50,
-                   picard_tol: float = 1e-9, max_picard: int = 100, *,
+def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float, *,
+                   picard_tol: float = 1e-9, max_outer: int = 50,
                    condensation: BulkCondensation | None = None) -> SetpointResult:
     """Find Q such that the pseudo-steady drawdown equals target_pdd.
 
     One Newton solve on the hyperplane C = target_pdd (module docstring),
     stopped at picard_tol with the residual of `solve_pss` at the Darcy
-    start's rate, in at most min(max_outer, max_picard) steps (ControlError
-    with the (Q, PDD) history when they are spent).  |PDD - target| <=
-    tol * target holds by construction; ControlError should it not.  Pass
-    the `condensation` of m's node set to share one bulk condensation.
+    start's rate, in at most max_outer steps (ControlError with the
+    (Q, PDD) history when they are spent).  Every step's drawdown is the
+    target by construction, up to the rounding of its two terms w . z and
+    q m_I . u; ControlError should the last miss it by more.  Pass the
+    `condensation` of m's node set to share one bulk condensation.
     """
     if not (np.isfinite(target_pdd) and target_pdd > 0):
         raise ValueError(f"target_pdd must be positive and finite, got {target_pdd}")
@@ -113,18 +116,20 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float,
         q = (V * target_pdd - float(w @ z)) / c.mIu
         history.append((V * q, c.output(line, z, q)))
 
-    budget = min(max_outer, max_picard)
     try:
-        _, report = _solve_line(c.S + np.outer(w, w) / c.mIu, line, p,
+        z, report = _solve_line(c.S + np.outer(w, w) / c.mIu, line, p,
                                 (V * target_pdd / c.mIu) * w, norm_b,
-                                picard_tol, budget, record)
+                                picard_tol, max_outer, record)
     except SolverError as exc:
-        if len(history) < budget:
+        if len(history) < max_outer:
             raise
-        raise ControlError(f"set-point solve did not converge in {budget} "
+        raise ControlError(f"set-point solve did not converge in {max_outer} "
                            f"steps: {exc}", history) from exc
     Q, pdd = history[-1]
-    if not abs(pdd - target_pdd) <= tol * target_pdd:
+    # C = target up to the rounding of w . z (n terms) and of the six
+    # operations through q, relative to C's two terms
+    slack = _gamma(len(w) + 6) * (abs(float(w @ z)) + abs(Q / V * c.mIu)) / V
+    if not abs(pdd - target_pdd) <= slack:
         raise ControlError(f"set-point drawdown {pdd:g} misses the target "
-                           f"{target_pdd:g} beyond tol {tol:g}", history)
+                           f"{target_pdd:g} beyond its rounding {slack:g}", history)
     return SetpointResult(Q, pdd, Q / pdd, report.iterations, history)

@@ -659,8 +659,14 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
         energy = float(area @ psi) - float(rhs_f @ w_f)
 
         def rounding():
-            magnitude = np.bincount(m.triangles.ravel(),
-                                    weights=np.abs(element).ravel(),
+            # the sum g(Wbar) + g(delta) rounds each gradient by up to u |g|,
+            # which |tangent| carries into the element terms (the rounding of
+            # g(delta)'s products, u sum_i |grad phi_i| |delta_i|, is left out:
+            # a bound of it would accept the strong-contrast stalls)
+            flux_err = np.einsum("tde,te->td", np.abs(tangent), np.abs(g))
+            bound = np.abs(element) + np.einsum("tid,td->ti", np.abs(grads),
+                                                flux_err) * area[:, None]
+            magnitude = np.bincount(m.triangles.ravel(), weights=bound.ravel(),
                                     minlength=m.num_nodes)[free] + np.abs(rhs_f)
             terms = float(area @ psi) + float(np.abs(rhs_f) @ np.abs(w_f))
             return (gamma_energy * terms,

@@ -74,12 +74,13 @@ class TrendDiagnostics:
 
 
 def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
-              p: FlowParams, tol: float = 1e-6, max_outer: int = 50,
-              picard_tol: float = 1e-9, max_picard: int = 100) -> SweepTable:
+              p: FlowParams, *, picard_tol: float = 1e-9,
+              max_outer: int = 50) -> SweepTable:
     """Tabulate J(L, beta) at the drawdown of the unfractured baseline.
 
-    A cell whose set-point solve fails is recorded and skipped; the
-    partial table is still a valid result.
+    Every cell is one `solve_setpoint` with picard_tol and max_outer.  A
+    cell whose set-point solve fails is recorded and skipped; the partial
+    table is still a valid result.
     """
     Ls = [float(L) for L in L_list]
     betas = [float(b) for b in beta_list]
@@ -101,10 +102,8 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
         params = replace(p, beta=beta)
         for j, mesh in enumerate(meshes):
             try:
-                res = solve_setpoint(mesh, params, pdd_star, tol=tol,
-                                     max_outer=max_outer, picard_tol=picard_tol,
-                                     max_picard=max_picard,
-                                     condensation=condensation)
+                res = solve_setpoint(mesh, params, pdd_star, picard_tol=picard_tol,
+                                     max_outer=max_outer, condensation=condensation)
             except (ControlError, SolverError) as exc:
                 failed.append((i, j, str(exc)))
                 continue
@@ -126,10 +125,8 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
         "J_star": float(j_star),
         "alpha_f": p.alpha_f,
         "k_p": p.k_p,
-        "setpoint_tol": tol,
         "max_outer": max_outer,
         "picard_tol": picard_tol,
-        "max_picard": max_picard,
         "failed_cells": len(failed),
     }
     return SweepTable(Ls, betas, J, Q, iters, failed, meta)

@@ -154,7 +154,7 @@ def test_criterion_7_setpoint_convergence():
     m = ff.build_reservoir_mesh(ff.DomainSpec(fracture_length=20.0, **RECT))
     p = ff.FlowParams(alpha_f=ALPHA, beta=1e-3)
     target = ff.baseline_pdd(m, p, 1000.0)
-    res = ff.solve_setpoint(m, p, target, tol=1e-6, max_outer=30)
+    res = ff.solve_setpoint(m, p, target, max_outer=30)
     nl_ok = (abs(res.PDD - target) <= 1e-6 * target
              and res.outer_iterations <= 30)
     res0 = ff.solve_setpoint(m, ff.FlowParams(alpha_f=ALPHA, beta=0.0), target)
@@ -241,7 +241,7 @@ def _det_configs(tmp_path):
         "inverse": {
             "command": "inverse", "domain": rect_domain,
             "params": {"alpha_f": ALPHA, "beta": 1e-3},
-            "inverse": {"q_baseline": 1000.0, "tol": 1e-6, "max_outer": 30}},
+            "inverse": {"q_baseline": 1000.0, "max_outer": 30}},
         "sweep": {
             "command": "sweep", "domain": dict(RECT, fracture_length=50.0),
             "params": {"alpha_f": ALPHA, "beta": 0.0},

@@ -148,8 +148,9 @@ def test_sweep_too_small_for_the_trend_check_exits_2(tmp_path, capsys,
     cfg = write_cfg(tmp_path, {"command": "sweep", "domain": DOMAIN,
                                "params": PARAMS, "sweep": sweep})
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "trend check" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "sweep.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "trend check" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_errors_exit_2(tmp_path):
@@ -193,6 +194,21 @@ def test_aniso_k_key_exits_2(tmp_path, capsys):
         "params": {"alpha_f": 1.0, "beta": 1.0, "aniso_k": 1.0}})
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "unknown key 'aniso_k' in section 'params'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, section", [
+    ("inverse", {"inverse": {"q_baseline": 1000.0, "tol": 1e-6}}),
+    ("sweep", {"sweep": {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3, 1e-2],
+                         "tol": 1e-6}}),
+])
+def test_setpoint_tol_key_exits_2(tmp_path, capsys, command, section):
+    # the set-point's drawdown meets its target by construction
+    cfg = write_cfg(tmp_path, dict({"command": command, "domain": DOMAIN,
+                                    "params": PARAMS}, **section))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert (f"unknown key 'tol' in section '{command}' ({command}.tol is not a setting)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_resolution_key_exits_2(tmp_path, capsys):
@@ -273,13 +289,14 @@ def test_zero_rate_summary_is_strict_json(tmp_path):
     ("inverse", {"inverse": {"q_baseline": 1000.0}}),
     ("sweep", {"sweep": {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3, 1e-2]}}),
 ])
-def test_max_picard_reaches_the_setpoint(tmp_path, capsys, command, section):
-    # beta > 0 needs more than one Newton step, so a budget of 1 must fail
+def test_max_picard_bounds_only_forward_solves(tmp_path, capsys, command, section):
+    # beta > 0 needs more than one Newton step; the set-point's steps are
+    # bounded by its own max_outer, not by solver.max_picard
     cfg = write_cfg(tmp_path, dict({
         "command": command, "domain": DOMAIN, "params": PARAMS,
         "solver": {"max_picard": 1}}, **section))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_threads_flag_rejected_by_argparse(tmp_path):
@@ -331,6 +348,7 @@ SWEEP = {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3, 1e-2]}
     ("solve", {"solver": {"tol": float("inf")}}),
     ("solve", {"solver": {"tol": 0.0}}),
     ("solve", {"solver": {"tol": 1.0}}),
+    # inverse.tol and sweep.tol are retired: any value is an unknown key
     ("inverse", {"inverse": {"tol": float("inf")}}),
     ("inverse", {"inverse": {"tol": 0.0}}),
     ("inverse", {"inverse": {"tol": 1.0}}),

@@ -71,6 +71,14 @@ class TestParseConfig:
                                    params={"alpha_f": 1.0, "beta": 1.0},
                                    validate={"resolution": 0.125}))
 
+    @pytest.mark.parametrize("command", ["inverse", "sweep"])
+    def test_setpoint_tol_key_rejected(self, command):
+        # the set-point meets its target by construction and ends at
+        # solver.tol; the retired drawdown tolerance is an unknown key
+        with pytest.raises(ConfigError, match=f"unknown key 'tol' in section '{command}' "
+                                              rf"\({command}.tol is not a setting\)"):
+            parse_config_data(dict(MINIMAL, command=command, **{command: {"tol": 1e-6}}))
+
     def test_negative_beta_named(self, tmp_path):
         bad = dict(MINIMAL, params={"beta": -1.0})
         with pytest.raises(ConfigError, match="beta must be >= 0"):
@@ -101,6 +109,7 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("sweep, match", [
         ({"max_outer": 0}, "sweep.max_outer"),
+        # sweep.tol is retired: any value is an unknown key, named
         ({"tol": 0.0}, "sweep.tol"),
         ({"betas": [1e-3, -1e-3]}, "sweep.betas"),
         ({"betas": [float("inf")]}, "sweep.betas"),
@@ -153,7 +162,7 @@ class TestParseConfig:
         spec = parse_config_data(dict(
             MINIMAL, command="sweep",
             params={"alpha_f": 0.05, "beta": 0.01},
-            sweep={"lengths": [2.0, 4.0], "betas": [1e-4, 1e-2]}))
+            sweep={"lengths": [2.0, 3.0, 4.0], "betas": [1e-4, 1e-2]}))
         text = runspec_to_json(spec)
         again = parse_config_data(json.loads(text))
         assert again == spec

@@ -19,7 +19,7 @@ from fracflow import (
     step_response,
 )
 from fracflow.assembly import output_C
-from fracflow.solvers import BulkCondensation, _solve_trace
+from fracflow.solvers import BulkCondensation, _gamma, _solve_trace
 
 ALPHA = 0.05
 LENGTHS = (4.0, 10.0, 20.0)
@@ -148,6 +148,22 @@ class TestSetpoint:
         with pytest.raises(ValueError, match="max_outer"):
             solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), 500.0, max_outer=0)
 
+    def test_drawdown_beyond_its_rounding_raises(self, rect_mesh, monkeypatch):
+        # every step meets the target to the rounding of its terms; a
+        # drawdown off by 1e-12 of it is no rounding
+        output = BulkCondensation.output
+        monkeypatch.setattr(BulkCondensation, "output",
+                            lambda self, *args: output(self, *args) * (1.0 + 1e-12))
+        with pytest.raises(ControlError, match="misses the target") as err:
+            solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05, beta=1e-3), 500.0)
+        assert len(err.value.history) >= 1
+
+    def test_tolerance_and_budget_are_keyword_only(self, rect_mesh):
+        # a positional drawdown tol of the retired signature fails, rather
+        # than becoming the Newton tolerance
+        with pytest.raises(TypeError):
+            solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), 500.0, 1e-6)
+
     def test_invalid_target_rejected(self, rect_mesh):
         with pytest.raises(ValueError):
             solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), -5.0)
@@ -211,6 +227,13 @@ class TestSetpointProperties:
         assert res.Q == pytest.approx(reference_rate(m, c, p, target), rel=2e-6)
         assert abs(res.PDD - target) <= 1e-12 * target
         assert res.outer_iterations <= 4, res.history
+        # every step's drawdown meets the target within the rounding of its
+        # terms w . z = V C - q m_I . u and q m_I . u (`solve_setpoint`)
+        line = c.line(m, p.k_p)
+        V, gamma = line.volume, _gamma(len(line.weights) + 6)
+        for Q, pdd in res.history:
+            qm = Q / V * c.mIu
+            assert abs(pdd - target) <= gamma * (abs(V * pdd - qm) + abs(qm)) / V
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.sampled_from(["rect", "disk", "bare"]),
@@ -244,5 +267,5 @@ class TestSetpointProperties:
         lo, hi = sorted((b1, b2))
         J = [solve_setpoint(meshes[j], FlowParams(alpha_f=ALPHA, beta=b),
                             10.0 ** log_target, condensation=c).J_p for b in (lo, hi)]
-        # each J is exact to the set-point tolerance of 1e-6
+        # each J is its rate over the target, the rate within 2e-6 of a root find
         assert J[1] <= J[0] * (1.0 + 4e-6)

@@ -503,7 +503,16 @@ class TestSolveSlab:
                 assert (np.linalg.norm(r)
                         <= 1e-8 * np.linalg.norm(slab_rhs(m, q, q, 0.0))), (flavor, q0, beta)
                 solved[flavor] += 1
-        assert min(solved.values()) >= 1, solved
+        # the three strong-contrast anisotropic slabs stall far above the
+        # computed rounding floor and raise
+        assert solved == {"isotropic": 4, "anisotropic": 1}, solved
+        # at tol 1e-14 these stall 2% above the floor of the element terms
+        # alone; with each gradient's rounding counted they converge
+        p = FlowParams(alpha_f=1.0, beta=1.0)
+        for flavor, q0 in [("isotropic", 4.0), ("anisotropic", 2.0)]:
+            q = lambda x: q0 * (1.0 - x)
+            _, rep = solve_slab(m, p, flavor, q, q, 0.0, tol=1e-14)
+            assert rep.converged and rep.final_residual > 1e-14, (flavor, rep)
 
     @pytest.mark.parametrize("flavor", ["isotropic", "anisotropic"])
     def test_slab_energy_descends_along_iterates(self, flavor, monkeypatch):
