@@ -5,7 +5,8 @@ fracture line carries 1-D P1 elements on the shared trace nodes, so the
 pressure is single valued across the line and no mortar coupling is
 needed.  Gradients of P1 fields are constant per element, which makes the
 one-point (centroid) evaluation of the nonlinear mobility exact in its
-argument.
+argument.  The per-triangle areas and basis gradients are the mesh's own
+(`Mesh.area`, `Mesh.basis`), computed once per mesh.
 
 Operator conventions, with basis functions phi_i, the mesh's aperture h
 and the Darcy-limit fracture mobility 1/alpha_f:
@@ -30,7 +31,6 @@ reduction is solved on its line.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,32 +75,6 @@ def _values(W) -> np.ndarray:
     return np.asarray(W, dtype=float)
 
 
-_geometry_cache: "weakref.WeakKeyDictionary[Mesh, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _tri_geometry(m: Mesh):
-    """Areas and P1 basis gradients, both constant per triangle.
-
-    Cached per mesh object; meshes are immutable so this is safe.
-    """
-    cached = _geometry_cache.get(m)
-    if cached is not None:
-        return cached
-    p = m.nodes[m.triangles]  # (t, 3, 2)
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1])
-    # grad of the barycentric function at vertex i is the rotated opposite edge
-    grads = np.empty((len(area), 3, 2))
-    for i in range(3):
-        a = p[:, (i + 1) % 3]
-        b = p[:, (i + 2) % 3]
-        grads[:, i, 0] = (a[:, 1] - b[:, 1]) / (2.0 * area)
-        grads[:, i, 1] = (b[:, 0] - a[:, 0]) / (2.0 * area)
-    _geometry_cache[m] = (area, grads)
-    return area, grads
-
-
 def _edge_geometry(m: Mesh, edges: np.ndarray):
     a = m.nodes[edges[:, 0]]
     b = m.nodes[edges[:, 1]]
@@ -109,9 +83,7 @@ def _edge_geometry(m: Mesh, edges: np.ndarray):
 
 def triangle_gradients(m: Mesh, W) -> np.ndarray:
     """(t, 2) gradient of the P1 field on every triangle."""
-    w = _values(W)
-    _, grads = _tri_geometry(m)
-    return np.einsum("tid,ti->td", grads, w[m.triangles])
+    return np.einsum("tid,ti->td", m.basis, _values(W)[m.triangles])
 
 
 def _local_stiffness(m: Mesh, coef) -> np.ndarray:
@@ -121,18 +93,19 @@ def _local_stiffness(m: Mesh, coef) -> np.ndarray:
     symmetric tensors C_T, for area_T (grad phi_i . C_T grad phi_j).  The
     tensor's element matrices are exactly symmetric.
     """
-    area, grads = _tri_geometry(m)
     c = np.asarray(coef, dtype=float)
+    gx, gy = m.basis[:, :, 0], m.basis[:, :, 1]
     if c.ndim <= 1:
-        local = np.einsum("tid,tjd->tij", grads, grads)
-        local *= (np.atleast_1d(c) * area)[:, None, None]
+        local = np.empty((len(gx), 3, 3))  # by column: no (t, 3, 3) temporaries
+        for j in range(3):
+            local[:, :, j] = gx * gx[:, j, None] + gy * gy[:, j, None]
+        local *= (np.atleast_1d(c) * m.area)[:, None, None]
         return local
-    gx, gy = grads[:, :, 0], grads[:, :, 1]
     xy = gx[:, :, None] * gy[:, None, :]
     local = (c[:, 0, 0, None, None] * (gx[:, :, None] * gx[:, None, :])
              + c[:, 1, 1, None, None] * (gy[:, :, None] * gy[:, None, :])
              + c[:, 0, 1, None, None] * (xy + xy.transpose(0, 2, 1)))
-    local *= area[:, None, None]
+    local *= m.area[:, None, None]
     return local
 
 
@@ -212,9 +185,8 @@ def assemble_A(m: Mesh, p: FlowParams) -> sparse.csr_matrix:
 
 def _bulk_load(m: Mesh) -> np.ndarray:
     """P1 lumped load int_bulk phi_i (a third of each triangle's area)."""
-    area, _ = _tri_geometry(m)
     load = np.zeros(m.num_nodes)
-    np.add.at(load, m.triangles.ravel(), np.repeat(area / 3.0, 3))
+    np.add.at(load, m.triangles.ravel(), np.repeat(m.area / 3.0, 3))
     return load
 
 
@@ -222,14 +194,13 @@ def assemble_B_in(m: Mesh) -> np.ndarray:
     """Input vector: minus the P1 partition-of-unity load, normalized by
     the total volume |bulk| + h L so its entries sum to -1."""
     h = m.aperture
-    area, _ = _tri_geometry(m)
     load = _bulk_load(m)
     frac_len = 0.0
     if h != 0.0 and len(m.fracture_edges) > 0:
         ell = _edge_geometry(m, m.fracture_edges)
         np.add.at(load, m.fracture_edges.ravel(), np.repeat(h * ell / 2.0, 2))
         frac_len = float(ell.sum())
-    vol = float(area.sum()) + h * frac_len
+    vol = float(m.area.sum()) + h * frac_len
     return -load / vol
 
 
@@ -251,15 +222,14 @@ def output_C(m: Mesh, W) -> float:
     """Volume average of W over bulk plus fracture, exact for P1."""
     h = m.aperture
     w = _values(W)
-    area, _ = _tri_geometry(m)
-    bulk = float(np.sum(area * w[m.triangles].mean(axis=1)))
+    bulk = float(np.sum(m.area * w[m.triangles].mean(axis=1)))
     frac = 0.0
     frac_len = 0.0
     if h != 0.0 and len(m.fracture_edges) > 0:
         ell = _edge_geometry(m, m.fracture_edges)
         frac = h * float(np.sum(ell * w[m.fracture_edges].mean(axis=1)))
         frac_len = float(ell.sum())
-    return (bulk + frac) / (float(area.sum()) + h * frac_len)
+    return (bulk + frac) / (float(m.area.sum()) + h * frac_len)
 
 
 def apply_constraints(A: sparse.csr_matrix, b: np.ndarray, constraints):

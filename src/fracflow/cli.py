@@ -13,9 +13,9 @@ solver.max_picard bounds the Newton steps of the forward solves (the key
 and the summary's picard_iterations keep their historical names);
 inverse.max_outer and sweep.max_outer bound the set-point's.  The
 retired "threads", solver.theta, inverse.tol and sweep.tol are rejected
-as unknown keys (exit 2).  A sweep runs its cells serially; it needs at
-least 3 lengths and 2 betas for its trend check (exit 2 before any work
-otherwise).
+as unknown keys (exit 2).  A sweep needs 3 distinct lengths and 2 distinct
+betas for its trend check, and every fracture a command meshes must fit
+its reservoir (exit 2 before any output otherwise); it runs serially.
 """
 
 from __future__ import annotations

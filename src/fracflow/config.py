@@ -151,10 +151,18 @@ class RunSpec:
             raise ConfigError("validate with the anisotropic flavor requires params.beta > 0")
         # the trend check runs on every complete table, so a sweep it
         # cannot judge is rejected before any work
-        if self.command == "sweep" and (len(self.sweep.lengths) < 3
-                                        or len(self.sweep.betas) < 2):
-            raise ConfigError("the sweep's trend check needs >= 3 sweep.lengths "
-                              "and >= 2 sweep.betas")
+        if self.command == "sweep" and (len(set(self.sweep.lengths)) < 3
+                                        or len(set(self.sweep.betas)) < 2):
+            raise ConfigError("the sweep's trend check needs >= 3 distinct "
+                              "sweep.lengths and >= 2 distinct sweep.betas")
+        # every fracture the command meshes must fit (validate meshes slabs)
+        meshed = {"sweep": self.sweep.lengths, "validate": []}.get(
+            self.command, [self.domain.fracture_length])
+        try:
+            for L in meshed:
+                self.domain.check_fracture(float(L))
+        except GeometryError as exc:
+            raise ConfigError(f"cannot mesh the reservoir: {exc}") from exc
 
 
 _SECTION_TYPES = {

@@ -14,11 +14,14 @@ Two generators:
 Meshes are immutable once built.  Every mesh is a tensor grid (the disk a
 polar one, of rings by sectors) and records its node ids as a grid, from
 which the bulk condensation reads a fill-reducing order of the nodes.
+A mesh owns its geometry, computed once on first use.  The builders reject
+misoriented triangles and the fractures `DomainSpec.check_fracture` rejects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -89,6 +92,28 @@ class DomainSpec:
         if self.shape == "disk" and self.radius <= 0:
             raise GeometryError("disk requires positive radius")
 
+    def check_fracture(self, L: float) -> None:
+        """GeometryError unless a fracture of length L, of at least one
+        edge at the resolution, fits the domain: in a rectangle the well and
+        [well, well + L]; in a disk, well at the center and L <= radius."""
+        if L <= 0:
+            raise GeometryError("fracture lengths must be > 0")
+        if round(L / self.resolution) < 1:
+            raise GeometryError(
+                f"resolution {self.resolution} too coarse to resolve fracture length {L}")
+        if self.shape == "rectangle":
+            w2, h2 = self.width / 2.0, self.height / 2.0
+            wx, wy = self.well
+            tol = 1e-12 * max(self.width, self.height)
+            if not (-w2 < wx and wx + L <= w2 + tol and -h2 < wy < h2):
+                raise GeometryError(
+                    f"fracture [{wx}, {wx + L}] x {{{wy}}} does not fit inside "
+                    f"[{-w2}, {w2}] x [{-h2}, {h2}]")
+        elif self.well != (0.0, 0.0):
+            raise GeometryError("disk meshes require the well at the center (0, 0)")
+        elif L > self.radius:
+            raise GeometryError(f"fracture length {L} exceeds disk radius {self.radius}")
+
 
 @dataclass(frozen=True, eq=False)
 class Mesh:
@@ -107,6 +132,9 @@ class Mesh:
         and columns; a disk's rows are its rings and its columns its
         sectors, which wrap around, the fracture ray last, and its hub
         (the well) is off the grid.  Empty if built without one.
+    area, basis: (m,) signed triangle areas and (m, 3, 2) P1 basis
+        gradients, read-only, computed once on first use (GeometryError on
+        a non-positive area); a `dataclasses.replace` copy has its own.
     """
 
     nodes: np.ndarray
@@ -124,6 +152,28 @@ class Mesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
+
+    @cached_property
+    def area(self) -> np.ndarray:
+        p = self.nodes[self.triangles]  # (m, 3, 2)
+        d1 = p[:, 1] - p[:, 0]
+        d2 = p[:, 2] - p[:, 0]
+        area = 0.5 * (d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1])
+        area.flags.writeable = False  # shared by every reader of the mesh
+        return area
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        two_area = 2.0 * _oriented(self).area
+        p = self.nodes[self.triangles]
+        # grad of the barycentric function at vertex i is the rotated opposite edge
+        grads = np.empty((len(p), 3, 2))
+        for i in range(3):
+            a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
+            grads[:, i, 0] = (a[:, 1] - b[:, 1]) / two_area
+            grads[:, i, 1] = (b[:, 0] - a[:, 0]) / two_area
+        grads.flags.writeable = False
+        return grads
 
     def with_fracture_edges(self, fracture_edges: np.ndarray) -> "Mesh":
         """Same nodes and triangles, different fracture tagging.
@@ -238,12 +288,8 @@ def build_reservoir_mesh_family(spec: DomainSpec, lengths) -> list[Mesh]:
         raise GeometryError("lengths must be nonempty")
     offsets = {0.0}
     for L in Ls:
-        if L <= 0:
-            raise GeometryError("fracture lengths must be > 0")
+        spec.check_fracture(L)
         nf = int(round(L / spec.resolution))
-        if nf < 1:
-            raise GeometryError(
-                f"resolution {spec.resolution} too coarse to resolve fracture length {L}")
         offsets.update((L / nf) * np.arange(nf + 1))
     # merge offsets that differ only by rounding so no sliver intervals
     # survive in the shared polyline
@@ -273,12 +319,6 @@ def _rectangle_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     w2, h2 = spec.width / 2.0, spec.height / 2.0
     wx, wy = spec.well
     L = float(offsets[-1])
-    tol = 1e-12 * max(spec.width, spec.height)
-    if not (-w2 < wx and wx + L <= w2 + tol and -h2 < wy < h2):
-        raise GeometryError(
-            f"fracture [{wx}, {wx + L}] x {{{wy}}} does not fit inside "
-            f"[{-w2}, {w2}] x [{-h2}, {h2}]")
-
     size = float(np.diff(offsets).min())
     frac_breaks = wx + offsets
     left = _breaks_from(wx, _graded_sizes(wx + w2, size, spec.grading), -1.0)
@@ -291,19 +331,13 @@ def _rectangle_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     nodes, triangles, frac_edges, boundary = _grid_mesh(
         xs, ys, frac_x_lo=wx, frac_x_hi=wx + L, frac_y=wy)
     well_node = int(np.argmin(np.hypot(nodes[:, 0] - wx, nodes[:, 1] - wy)))
-    _check_orientation(nodes, triangles)
-    return Mesh(nodes, triangles, frac_edges, well_node, boundary, spec.aperture,
-                np.arange(len(nodes)).reshape(len(ys), len(xs)))
+    return _oriented(Mesh(nodes, triangles, frac_edges, well_node, boundary,
+                          spec.aperture, np.arange(len(nodes)).reshape(len(ys), len(xs))))
 
 
 def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     R = spec.radius
     L = float(offsets[-1])
-    if spec.well != (0.0, 0.0):
-        raise GeometryError("disk meshes require the well at the center (0, 0)")
-    if L > R:
-        raise GeometryError(f"fracture length {L} exceeds disk radius {R}")
-
     size = float(np.diff(offsets).min())
     frac_radii = offsets[1:]
     outer = _breaks_from(L, _graded_sizes(R - L, size, spec.grading), +1.0)
@@ -329,9 +363,8 @@ def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     frac_nodes = np.concatenate([[0], a[:n_frac_rings, 0]])
     frac_edges = np.column_stack([frac_nodes[:-1], frac_nodes[1:]])
     boundary = {TAG_OUTER: np.column_stack([a[-1], b[-1]])}
-    _check_orientation(nodes, triangles)
-    return Mesh(nodes, triangles, frac_edges, 0, boundary, spec.aperture,
-                np.roll(a, -1, axis=1))
+    return _oriented(Mesh(nodes, triangles, frac_edges, 0, boundary, spec.aperture,
+                          np.roll(a, -1, axis=1)))
 
 
 def build_fracture_slab_mesh(L: float, h: float, nx: int, ny: int) -> Mesh:
@@ -350,27 +383,21 @@ def build_fracture_slab_mesh(L: float, h: float, nx: int, ny: int) -> Mesh:
     nodes, triangles, _, boundary = _grid_mesh(xs, ys, tags="slab")
     left = np.where(nodes[:, 0] == 0.0)[0]
     well_node = int(left[np.argmin(np.abs(nodes[left, 1]))])
-    _check_orientation(nodes, triangles)
-    return Mesh(nodes, triangles, np.empty((0, 2), dtype=int), well_node,
-                boundary, h, np.arange(len(nodes)).reshape(ny + 1, nx + 1))
+    return _oriented(Mesh(nodes, triangles, np.empty((0, 2), dtype=int), well_node,
+                          boundary, h, np.arange(len(nodes)).reshape(ny + 1, nx + 1)))
 
 
-def _signed_areas(nodes, triangles):
-    p = nodes[triangles]
-    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-
-
-def _check_orientation(nodes, triangles):
-    if np.any(_signed_areas(nodes, triangles) <= 0):
+def _oriented(m: Mesh) -> Mesh:
+    """m, or GeometryError if a triangle of m is not positively oriented."""
+    if np.any(m.area <= 0):
         raise GeometryError("mesh contains non-positively-oriented triangles")
+    return m
 
 
 def mesh_quality_report(m: Mesh) -> MeshQualityReport:
     """Angle, area and edge-ratio statistics; valid iff all areas are
     positive and the minimum angle is at least one degree."""
     p = m.nodes[m.triangles]
-    areas = _signed_areas(m.nodes, m.triangles)
     e0 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
     e1 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
     e2 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
@@ -384,7 +411,7 @@ def mesh_quality_report(m: Mesh) -> MeshQualityReport:
         angles[:, i] = np.degrees(np.arccos(cosv))
     min_angle = float(angles.min())
     max_angle = float(angles.max())
-    min_area = float(areas.min())
+    min_area = float(m.area.min())
     ratio = float((edges.max(axis=1) / edges.min(axis=1)).max())
     valid = bool(min_area > 0 and min_angle >= 1.0)
     return MeshQualityReport(min_angle, max_angle, min_area, ratio, valid)

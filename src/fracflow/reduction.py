@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import ScalarField, _at_points, _tri_geometry, triangle_gradients
+from .assembly import ScalarField, _at_points, triangle_gradients
 from .errors import GeometryError
 from .kernels import FlowParams, indicator_H
 from .meshing import Mesh, build_fracture_slab_mesh
@@ -92,8 +92,7 @@ def lq_seminorm(W, m: Mesh, component: str, q: float = 1.5) -> float:
     if component not in ("x", "y"):
         raise ValueError(f"component must be 'x' or 'y', got {component!r}")
     vals = np.abs(triangle_gradients(m, W)[:, "xy".index(component)])
-    area, _ = _tri_geometry(m)
-    return float(np.sum(area * vals ** q) ** (1.0 / q))
+    return float(np.sum(m.area * vals ** q) ** (1.0 / q))
 
 
 def _integrate(fn, a: float, b: float, n: int = 2048) -> float:
@@ -165,7 +164,6 @@ def anisotropic_report(L: float, h: float, resolution: float, p: FlowParams,
     full, red = _solve_pair(m, p, "anisotropic", q_plus, q_minus, q_over_v)
     gf = triangle_gradients(m, full)
     gr = triangle_gradients(m, red)
-    area, _ = _tri_geometry(m)
     k = 1.0 / p.alpha_f
     wx, wy = gf[:, 0], gf[:, 1]
     wxr = gr[:, 0]
@@ -175,7 +173,7 @@ def anisotropic_report(L: float, h: float, resolution: float, p: FlowParams,
     integrand = ((k / 2.0) * (p.alpha_f ** 2 / p.beta) * root_diff ** 2 * H
                  + (k / 6.0) * (wx - wxr) ** 2 * (1 - H)
                  + (k / 2.0) * wy ** 2)
-    lhs = float(np.sum(area * integrand))
+    lhs = float(np.sum(m.area * integrand))
     rhs = h / (2.0 * k) * _integrate(
         lambda x: q_plus(x) ** 2 + q_minus(x) ** 2, 0.0, L)
     return ReductionReport(

@@ -49,6 +49,7 @@ SuperLU's pivot-free L D L^T of an SPD matrix in the order given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import sparse
@@ -65,7 +66,6 @@ from .assembly import (
     _edge_geometry,
     _free_block_assembler,
     _local_stiffness,
-    _tri_geometry,
     # not called here; it stays bound because the tracer's self-test
     # (perfbench/tests/test_tracer.py) reads fracflow.solvers.apply_constraints
     apply_constraints,
@@ -387,23 +387,20 @@ def _grid_order(ids: np.ndarray, keep: np.ndarray) -> np.ndarray:
     the wrap-around to the fracture ray).  Blocks of at most _GRID_BLOCK
     nodes keep their natural order.
     """
-    parts = []
-
-    def dissect(block):
-        ny, nx = block.shape
+    @cache  # local to the call: a block's order depends on its shape only
+    def dissect(ny, nx):
+        """Row-major positions of an ny x nx block, in dissection order."""
+        pos = np.arange(ny * nx, dtype=np.int32).reshape(ny, nx)  # half the memo
         if ny * nx <= _GRID_BLOCK:
-            parts.append(block.ravel())
-        elif nx >= ny:
-            dissect(block[:, :nx // 2])
-            dissect(block[:, nx // 2 + 1:])
-            parts.append(block[:, nx // 2])
+            return pos.ravel()
+        if nx >= ny:
+            a, b, line = pos[:, :nx // 2], pos[:, nx // 2 + 1:], pos[:, nx // 2]
         else:
-            dissect(block[:ny // 2])
-            dissect(block[ny // 2 + 1:])
-            parts.append(block[ny // 2])
+            a, b, line = pos[:ny // 2], pos[ny // 2 + 1:], pos[ny // 2]
+        return np.concatenate([a.ravel()[dissect(*a.shape)],
+                               b.ravel()[dissect(*b.shape)], line])
 
-    dissect(ids)
-    order = np.concatenate(parts)
+    order = ids.ravel()[dissect(*ids.shape)]
     return order[keep[order]]
 
 
@@ -522,7 +519,7 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
         interior=interior, lu=lu, S=S, r=r, load_G=load[trace],
         load_I=load[interior],
         mIu=float(load[interior] @ w[:nI] + (load[trace] - r) @ w_G),
-        area=float(_tri_geometry(m)[0].sum()))
+        area=float(m.area.sum()))
 
 
 def _solve_trace(c: BulkCondensation, line: TraceLine, p: FlowParams,
@@ -633,7 +630,6 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     pinned = np.isin(np.arange(m.num_nodes), dirichlet_nodes(m))
     free = _grid_order(m.grid, ~pinned)
     rhs_f = rhs[free]
-    area, grads = _tri_geometry(m)
     tangent_matrix = _free_block_assembler(m, free)
     norm_rhs = max(float(np.linalg.norm(rhs)), 1e-300)
     w_bar = np.where(pinned, 0.0, reduced_field.values)
@@ -641,7 +637,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     g_bar = triangle_gradients(m, w_bar)
     # E sums a term per triangle and per free node; a row of grad E sums
     # the load and its triangles' terms, each a 2-term dot times an area
-    gamma_energy = _gamma(len(area) + len(free))
+    gamma_energy = _gamma(m.num_triangles + len(free))
     gamma_row = _gamma(int(np.bincount(m.triangles.ravel()).max()) + 4)
 
     def field(d_f):
@@ -652,11 +648,11 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     def linearize(d_f):
         g = g_bar + triangle_gradients(m, field(d_f))
         flux, tangent, psi = _slab_constitutive(g, p, flavor)
-        element = np.einsum("tid,td->ti", grads, flux) * area[:, None]
+        element = np.einsum("tid,td->ti", m.basis, flux) * m.area[:, None]
         grad = np.bincount(m.triangles.ravel(), weights=element.ravel(),
                            minlength=m.num_nodes)[free] - rhs_f
         w_f = w_bar_f + d_f
-        energy = float(area @ psi) - float(rhs_f @ w_f)
+        energy = float(m.area @ psi) - float(rhs_f @ w_f)
 
         def rounding():
             # the sum g(Wbar) + g(delta) rounds each gradient by up to u |g|,
@@ -664,11 +660,11 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
             # g(delta)'s products, u sum_i |grad phi_i| |delta_i|, is left out:
             # a bound of it would accept the strong-contrast stalls)
             flux_err = np.einsum("tde,te->td", np.abs(tangent), np.abs(g))
-            bound = np.abs(element) + np.einsum("tid,td->ti", np.abs(grads),
-                                                flux_err) * area[:, None]
+            bound = np.abs(element) + np.einsum("tid,td->ti", np.abs(m.basis),
+                                                flux_err) * m.area[:, None]
             magnitude = np.bincount(m.triangles.ravel(), weights=bound.ravel(),
                                     minlength=m.num_nodes)[free] + np.abs(rhs_f)
-            terms = float(area @ psi) + float(np.abs(rhs_f) @ np.abs(w_f))
+            terms = float(m.area @ psi) + float(np.abs(rhs_f) @ np.abs(w_f))
             return (gamma_energy * terms,
                     gamma_row * float(np.linalg.norm(magnitude)) / norm_rhs)
 

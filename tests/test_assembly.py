@@ -23,7 +23,6 @@ from fracflow.assembly import (
     _edge_load,
     _free_block_assembler,
     _local_stiffness,
-    _tri_geometry,
     apply_constraints,
     dirichlet_nodes,
 )
@@ -229,7 +228,7 @@ class TestTensorStiffness:
         L = rng.normal(size=(len(m.triangles), 2, 2))
         C = L @ L.transpose(0, 2, 1) + np.eye(2)  # symmetric positive definite
         K = _bulk_stiffness(m, C).toarray()
-        area, grads = _tri_geometry(m)
+        area, grads = m.area, m.basis
         ref = np.zeros_like(K)
         for t, tri in enumerate(m.triangles):
             ref[np.ix_(tri, tri)] += area[t] * grads[t] @ C[t] @ grads[t].T
@@ -241,6 +240,22 @@ class TestTensorStiffness:
         c = np.random.default_rng(6).uniform(0.5, 2.0, len(m.triangles))
         K = _bulk_stiffness(m, c[:, None, None] * np.eye(2))
         assert abs(K - _bulk_stiffness(m, c)).max() <= 1e-14 * abs(K).max()
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: build_reservoir_mesh(DomainSpec(
+            shape="rectangle", fracture_length=4.0, width=20.0, height=16.0,
+            aperture=0.5, resolution=1.0, grading=1.3)),
+        lambda: build_reservoir_mesh(DomainSpec(
+            shape="disk", fracture_length=4.0, radius=10.0, aperture=1.0,
+            resolution=1.0, grading=1.3)),
+        lambda: build_fracture_slab_mesh(1.0, 0.05, 32, 8),
+    ], ids=["rectangle", "disk", "slab"])
+    def test_scalar_branch_is_the_einsum_bit_for_bit(self, mesh):
+        m = mesh()
+        for coef in (1.7, np.random.default_rng(8).uniform(0.5, 2.0, m.num_triangles)):
+            ref = np.einsum("tid,tjd->tij", m.basis, m.basis)
+            ref *= (np.atleast_1d(coef) * m.area)[:, None, None]
+            assert np.array_equal(_local_stiffness(m, coef), ref)
 
     def test_free_block_refill_matches_assembly(self):
         m = build_fracture_slab_mesh(1.0, 0.2, 8, 4)

@@ -136,7 +136,10 @@ def test_validate_isotropic_reuses_the_unit_scaling_report(tmp_path, monkeypatch
     {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3]},
     {"lengths": [], "betas": [1e-3, 1e-2]},
     {"lengths": [4.0, 6.0, 8.0], "betas": []},
-], ids=["two-lengths", "one-beta", "no-lengths", "no-betas"])
+    {"lengths": [4.0, 4.0, 8.0], "betas": [0.0, 1e-3]},
+    {"lengths": [4.0, 6.0, 8.0], "betas": [1e-3, 1e-3]},
+], ids=["two-lengths", "one-beta", "no-lengths", "no-betas", "duplicate-lengths",
+        "duplicate-betas"])
 def test_sweep_too_small_for_the_trend_check_exits_2(tmp_path, capsys,
                                                      monkeypatch, sweep):
     import fracflow.cli as cli
@@ -150,6 +153,39 @@ def test_sweep_too_small_for_the_trend_check_exits_2(tmp_path, capsys,
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "trend check" in err
+    assert "distinct" in err
+    assert not (tmp_path / "o").exists()
+
+
+# the 20 x 16 rectangle at resolution 1 of the fit rules
+SMALL = dict(DOMAIN, width=20.0, height=16.0, fracture_length=4.0, resolution=1.0)
+
+
+@pytest.mark.parametrize("command, domain, section", [
+    ("sweep", SMALL, {"sweep": {"lengths": [2, 4, 60], "betas": [0, 1e-3]}}),
+    ("solve", dict(SMALL, well=[-10, 0]), {}),
+    ("inverse", dict(SMALL, fracture_length=12.0), {}),
+    ("solve", dict(SMALL, fracture_length=0.4), {}),
+    ("solve", {"shape": "disk", "radius": 8.0, "fracture_length": 4.0,
+               "well": [1.0, 0.0]}, {}),
+    ("sweep", {"shape": "disk", "radius": 8.0, "fracture_length": 4.0},
+     {"sweep": {"lengths": [2, 4, 9], "betas": [0, 1e-3]}}),
+], ids=["sweep-length", "solve-well", "inverse-length", "too-coarse",
+        "disk-offcenter", "disk-sweep-length"])
+def test_fracture_that_cannot_be_meshed_exits_2(tmp_path, capsys, monkeypatch,
+                                                 command, domain, section):
+    import fracflow.cli as cli
+
+    def no_meshing(*args, **kwargs):
+        raise AssertionError("the reservoir was meshed")
+
+    monkeypatch.setattr(cli, "build_reservoir_mesh", no_meshing)
+    monkeypatch.setattr(cli, "run_sweep", no_meshing)
+    cfg = write_cfg(tmp_path, dict({"command": command, "domain": domain,
+                                    "params": PARAMS}, **section))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot mesh the reservoir:")
     assert not (tmp_path / "o").exists()
 
 

@@ -389,3 +389,44 @@ class TestFactorizationCounts:
             assert rep.iterations > 1
             assert len(factorizations) == per_condensation
             factorizations.clear()
+
+
+def reference_grid_order(ids, keep):
+    """The nested dissection block by block, each block ordered anew."""
+    parts = []
+
+    def dissect(block):
+        ny, nx = block.shape
+        if ny * nx <= fracflow.solvers._GRID_BLOCK:
+            parts.append(block.ravel())
+        elif nx >= ny:
+            dissect(block[:, :nx // 2])
+            dissect(block[:, nx // 2 + 1:])
+            parts.append(block[:, nx // 2])
+        else:
+            dissect(block[:ny // 2])
+            dissect(block[ny // 2 + 1:])
+            parts.append(block[ny // 2])
+
+    dissect(ids)
+    order = np.concatenate(parts)
+    return order[keep[order]]
+
+
+@pytest.mark.parametrize("mesh", [
+    lambda: build_reservoir_mesh(SPECS["rectangle"]),
+    lambda: build_reservoir_mesh(SPECS["tip_on_boundary"]),
+    lambda: build_reservoir_mesh(SPECS["disk"]),
+    lambda: build_reservoir_mesh(DomainSpec(shape="disk", fracture_length=5.0,
+                                            radius=7.0, aperture=1.0,
+                                            resolution=0.5, grading=1.0)),
+    lambda: build_fracture_slab_mesh(1.0, 0.05, 32, 8),
+    lambda: build_fracture_slab_mesh(2.0, 0.3, 5, 17),
+], ids=["rectangle", "tip-on-boundary", "disk", "fine-disk", "slab", "tall-slab"])
+def test_grid_order_is_the_blockwise_recursion(mesh):
+    m = mesh()
+    rng = np.random.default_rng(m.num_nodes)
+    for keep in (np.ones(m.num_nodes, dtype=bool),
+                 rng.uniform(size=m.num_nodes) < 0.7):
+        assert np.array_equal(_grid_order(m.grid, keep),
+                              reference_grid_order(m.grid, keep))

@@ -149,6 +149,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=match):
             parse_config_data(dict(data, **section))
 
+    @pytest.mark.parametrize("command, section", [
+        ("solve", {"domain": dict(MINIMAL["domain"], fracture_length=6.0)}),
+        ("inverse", {"domain": dict(MINIMAL["domain"], well=[5.0, 0.0])}),
+        ("sweep", {"sweep": {"lengths": [1.0, 2.0, 6.0], "betas": [0.0, 1.0]}}),
+    ])
+    def test_fracture_that_does_not_fit_named(self, command, section):
+        with pytest.raises(ConfigError, match="does not fit inside"):
+            parse_config_data(dict(MINIMAL, command=command, **section))
+
+    def test_validate_meshes_no_reservoir(self):
+        # the slab study reads the fracture length, not the reservoir around it
+        spec = parse_config_data(dict(
+            MINIMAL, command="validate", params={"beta": 1.0},
+            domain=dict(MINIMAL["domain"], fracture_length=60.0)))
+        assert spec.domain.fracture_length == 60.0
+
     def test_isotropic_validate_needs_scalings(self):
         with pytest.raises(ConfigError, match="scalings"):
             parse_config_data(dict(MINIMAL, command="validate",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -336,3 +338,77 @@ def test_grid_holds_every_node_next_to_its_neighbors(kind):
         dc = np.abs(col[u] - col[v])
         # a disk's sector columns wrap around
         assert np.all((np.minimum(dc, nx - dc) if disk else dc) <= 1)
+
+
+# the expressions the orientation check and the assembly geometry used
+# before the mesh owned its geometry
+def reference_areas(nodes, triangles):
+    p = nodes[triangles]
+    return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+                  - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+
+
+def reference_basis(nodes, triangles):
+    p = nodes[triangles]
+    area = reference_areas(nodes, triangles)
+    grads = np.empty((len(area), 3, 2))
+    for i in range(3):
+        a = p[:, (i + 1) % 3]
+        b = p[:, (i + 2) % 3]
+        grads[:, i, 0] = (a[:, 1] - b[:, 1]) / (2.0 * area)
+        grads[:, i, 1] = (b[:, 0] - a[:, 0]) / (2.0 * area)
+    return grads
+
+
+GEOMETRY_MESHES = {
+    "rectangle": lambda: build_reservoir_mesh(rect_spec(
+        width=30.0, height=20.0, fracture_length=7.0, grading=1.3)),
+    "disk": lambda: build_reservoir_mesh(DomainSpec(
+        shape="disk", radius=10.0, fracture_length=4.0, resolution=1.0)),
+    "slab": lambda: build_fracture_slab_mesh(1.0, 0.05, 32, 8),
+}
+
+
+class TestGeometry:
+    @pytest.mark.parametrize("kind", sorted(GEOMETRY_MESHES))
+    def test_area_and_basis_are_the_reference_formulas(self, kind):
+        m = GEOMETRY_MESHES[kind]()
+        assert np.array_equal(m.area, reference_areas(m.nodes, m.triangles))
+        assert np.array_equal(m.basis, reference_basis(m.nodes, m.triangles))
+        assert m.basis.shape == (m.num_triangles, 3, 2)
+
+    def test_computed_once_per_mesh(self):
+        m = GEOMETRY_MESHES["rectangle"]()
+        assert m.area is m.area and m.basis is m.basis
+        # a copy with other fracture edges computes its own, equal, geometry
+        other = m.with_fracture_edges(m.fracture_edges[:1])
+        assert other.area is not m.area
+        assert np.array_equal(other.basis, m.basis)
+
+    @pytest.mark.parametrize("tris", [[[0, 2, 1]], [[0, 1, 2], [0, 1, 3]]],
+                             ids=["flipped", "degenerate"])
+    def test_basis_of_a_misoriented_mesh_raises(self, tris):
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+        m = Mesh(nodes, np.array(tris), np.empty((0, 2), dtype=int), 0, {}, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match="non-positively-oriented"):
+                m.basis
+        assert m.area.min() <= 0  # the areas themselves stay readable
+
+
+@pytest.mark.parametrize("spec", [
+    rect_spec(fracture_length=1.5),                             # past the edge
+    rect_spec(width=20.0, height=16.0, fracture_length=4.0, well=(-10.0, 0.0)),
+    rect_spec(width=20.0, height=16.0, fracture_length=4.0, well=(0.0, 8.0)),
+    rect_spec(width=20.0, height=16.0, fracture_length=0.4),    # no edge at res 1
+    DomainSpec(shape="disk", radius=5.0, fracture_length=1.0, well=(1.0, 0.0)),
+    DomainSpec(shape="disk", radius=5.0, fracture_length=6.0),
+], ids=["too-long", "well-on-edge", "well-on-top", "too-coarse",
+        "disk-offcenter", "disk-too-long"])
+def test_fracture_rules_are_the_mesher_rules(spec):
+    with pytest.raises(GeometryError) as checked:
+        spec.check_fracture(spec.fracture_length)
+    with pytest.raises(GeometryError) as built:
+        build_reservoir_mesh(spec)
+    assert str(built.value) == str(checked.value)

@@ -20,7 +20,6 @@ from fracflow import (
 )
 from fracflow.assembly import (
     _bulk_stiffness,
-    _tri_geometry,
     assemble_A,
     assemble_B_in,
     assemble_F_residual,
@@ -58,7 +57,7 @@ def bare_mesh(rect_mesh):
 
 
 def l2_field_norm(m, values):
-    area, _ = _tri_geometry(m)
+    area = m.area
     return float(np.sqrt(np.sum(area * (values[m.triangles] ** 2).mean(axis=1))))
 
 
@@ -530,7 +529,7 @@ class TestSolveSlab:
         states = [z for z in states if len(z) == len(free)]
         assert len(states) == rep.iterations + 2
         rhs = slab_rhs(m, q, q, 0.5)
-        area, _ = _tri_geometry(m)
+        area = m.area
         energies = []
         for delta_free in states:
             w = red.values.copy()
