@@ -14,7 +14,7 @@ Two generators:
 Meshes are immutable once built.  Every mesh is a tensor grid (the disk a
 polar one, of rings by sectors) and records its node ids as a grid, from
 which the bulk condensation reads a fill-reducing order of the nodes.
-A mesh owns its geometry, computed once on first use.  The builders reject
+A mesh owns its geometry, computed once per node set.  The builders reject
 misoriented triangles and the fractures `DomainSpec.check_fracture` rejects.
 """
 
@@ -133,8 +133,9 @@ class Mesh:
         sectors, which wrap around, the fracture ray last, and its hub
         (the well) is off the grid.  Empty if built without one.
     area, basis: (m,) signed triangle areas and (m, 3, 2) P1 basis
-        gradients, read-only, computed once on first use (GeometryError on
-        a non-positive area); a `dataclasses.replace` copy has its own.
+        gradients, read-only, computed once per node set on first use
+        (GeometryError on a non-positive area) and shared by its
+        `with_fracture_edges` copies; a `dataclasses.replace` copy has its own.
     """
 
     nodes: np.ndarray
@@ -182,8 +183,10 @@ class Mesh:
         and the discrete point-well behavior cancels in comparisons, and
         with no edges for the unfractured baseline on the same node set.
         """
-        return replace(self, fracture_edges=np.asarray(
+        copy = replace(self, fracture_edges=np.asarray(
             fracture_edges, dtype=int).reshape(-1, 2))
+        vars(copy).update(area=self.area, basis=self.basis)
+        return copy
 
 
 @dataclass(frozen=True)

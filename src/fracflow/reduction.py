@@ -42,7 +42,7 @@ __all__ = [
 
 Q_NORM_CONVENTION = "surface data extended constantly across thickness (factor h^(1/3)) for L3 norms"
 
-# Newton tolerance of every full and reduced slab solve behind a report
+# Newton tolerance of every full slab solve behind a report
 _SLAB_TOL = 1e-10
 
 
@@ -114,11 +114,8 @@ def _slab_mesh(L: float, h: float, resolution: float) -> Mesh:
 
 def _solve_pair(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
                 q_over_v: float):
-    red, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=_SLAB_TOL,
-                        reduced=True)
-    # the full solve is a correction to the reduced solution
-    full, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=_SLAB_TOL,
-                         reduced_field=red)
+    red, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, reduced=True)
+    full, _ = solve_slab(m, p, flavor, q_plus, q_minus, q_over_v, tol=_SLAB_TOL)
     return full, red
 
 

@@ -31,9 +31,9 @@ at its aperture h: its tangent adds the line stiffness at coefficient
 h t(|z_x|) to a dense S, solved with position 0 pinned to zero.
 `solve_pss` runs it on the condensed trace, whose line has the mesh's
 aperture, and rebuilds the full nodal field with one solve with the
-bordered factor; the reduced slab is the same line problem with S = 0
-at h = 1, and the set-point (`fracflow.setpoint`) is it with a rank-one
-term added to S.
+bordered factor, and the set-point (`fracflow.setpoint`) is it with a
+rank-one term added to S.  The reduced slab is the line of a zero bulk,
+whose edge fluxes conservation fixes, so it is solved in closed form.
 
 The full slab keeps the sparse path on its free (unpinned) nodes, in the
 `_grid_order` of its grid, and is solved for its correction to the
@@ -75,8 +75,8 @@ from .assembly import (
     slab_rhs,
     triangle_gradients,
 )
-from .errors import SolverError
-from .kernels import FlowParams
+from .errors import AssemblyError, SolverError
+from .kernels import FlowParams, forchheimer_inverse_1d
 from .meshing import Mesh
 
 __all__ = ["BulkCondensation", "SolveReport", "TraceLine", "condense_bulk",
@@ -267,8 +267,7 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
 
 @dataclass(frozen=True)
 class TraceLine:
-    """The fracture line of one mesh, on a condensed trace (or the reduced
-    slab's x nodes, the line of a zero bulk at h = 1).
+    """The fracture line of one mesh, on its condensed trace.
 
     h: the aperture, the mesh's; it weights the line's mobility and its
         load, and a line is solved at the h it was built with.
@@ -575,56 +574,55 @@ def _slab_constitutive(g: np.ndarray, p: FlowParams, flavor: str):
             phi + 0.5 * k * g[:, 1] ** 2)
 
 
-def _reduced_slab(m: Mesh, p: FlowParams, q_plus, q_minus, q_over_v: float,
-                  tol: float, max_iter: int) -> tuple[ScalarField, SolveReport]:
-    """The reduced slab, solved as the line of a zero bulk at aperture 1
-    on the slab's x nodes (trapezoid weights) and extended by x index."""
+def _reduced_slab(m: Mesh, p: FlowParams, q_plus, q_minus,
+                  q_over_v: float) -> tuple[ScalarField, SolveReport]:
+    """The reduced slab per unit thickness, exact on the slab's x nodes
+    and extended by x index.  With no bulk, conservation fixes each edge's
+    flux as the trapezoid load b beyond it, v_e = sum_{j>e} b_j, the
+    Forchheimer law its gradient alpha v_e + beta |v_e| v_e, and W sums
+    those from the pinned well.  The report takes no step; its residual
+    is the line equations' at those fluxes."""
     xs = np.unique(m.nodes[:, 0])
     dx = np.diff(xs)
     wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
     b = wx * (q_over_v - (_at_points(q_plus, xs) + _at_points(q_minus, xs))
               / m.aperture)
-    edges = np.column_stack([np.arange(len(dx)), np.arange(1, len(xs))])
-    z, report = _solve_line(np.zeros((len(xs), len(xs))),
-                            TraceLine(1.0, edges, dx, wx, wx, float(xs[-1])),
-                            p, b, float(np.linalg.norm(b)), tol, max_iter)
-    return ScalarField(z[np.searchsorted(xs, m.nodes[:, 0])], m), report
+    v = np.cumsum(b[:0:-1])[::-1]
+    try:
+        z = np.concatenate([[0.0], np.cumsum(forchheimer_inverse_1d(-v, p) * dx)])
+        W = ScalarField(z[np.searchsorted(xs, m.nodes[:, 0])], m)
+    except (ValueError, AssemblyError) as exc:  # beyond the float range
+        raise SolverError(f"reduced slab: {exc}", [("closed form", str(exc))]) from exc
+    # node i >= 1 balances v_{i-1} - v_i = b_i; no edge lies beyond the tip
+    r = v - np.append(v[1:], 0.0) - b[1:]
+    residual = float(np.linalg.norm(r)) / max(float(np.linalg.norm(b)), 1e-300)
+    return W, SolveReport(0, residual, True, 1.0)
 
 
 def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
                q_over_v: float, tol: float = 1e-9, max_iter: int = 100,
-               reduced: bool = False, *,
-               reduced_field: ScalarField | None = None,
-               ) -> tuple[ScalarField, SolveReport]:
-    """Newton solve of the slab problem (full or reduced form).
-
-    The full slab minimizes sum_T area_T Psi(grad W) - rhs . W over the
-    fields that vanish on the pressure-pinned boundary, on its free nodes.
-    It is solved for the correction delta = W - Wbar to the reduced
-    solution Wbar (`reduced_field`, this slab's ``reduced=True`` solution;
-    solved here when not passed, and read as zero on the pinned nodes),
-    from delta = 0: the thin slab's W is close to Wbar.  Every triangle's
-    gradient is the sum g(Wbar) + g(delta), with g(Wbar) computed once; on
-    the grid slab g_y(Wbar) is exactly zero, so the flux across the
-    fracture is computed from delta alone, free of the cancellation of
-    two nearly equal large fields.  The line search descends the full
-    energy at Wbar + delta, and its updates are relative to Wbar + delta.
+               reduced: bool = False) -> tuple[ScalarField, SolveReport]:
+    """Solve of the slab problem (full or reduced form).
 
     With ``reduced=True`` the lateral inflow moves into the volumetric
     source q_over_v - (q+(x)+q-(x))/h and the lateral boundary becomes
-    no-flow, which makes the solution independent of y: it is solved per
-    unit thickness on the slab's x nodes, as the line a zero bulk gives at
-    aperture 1 (trapezoid weights), and extended to the slab by x index.
+    no-flow, which makes the solution independent of y: the 1-D line of
+    `_reduced_slab`, solved in closed form with no Newton step.
+
+    The full slab minimizes sum_T area_T Psi(grad W) - rhs . W over the
+    fields that vanish on the pressure-pinned boundary, by Newton on its
+    free nodes for delta = W - Wbar, Wbar the reduced solution (zero on
+    the pinned nodes), from delta = 0: the thin slab's W is close to Wbar.
+    Every triangle's gradient is g(Wbar) + g(delta), g(Wbar) computed
+    once; on the grid slab g_y(Wbar) = 0 exactly, so the flux across the
+    fracture comes from delta alone, free of the cancellation of two
+    nearly equal large fields.  The line search descends the full energy
+    at Wbar + delta, and its updates are relative to it.
     """
     _check_slab(m, flavor)
+    reduced_solution, report = _reduced_slab(m, p, q_plus, q_minus, q_over_v)
     if reduced:
-        if reduced_field is not None:
-            raise ValueError("reduced_field is the start of a full solve; "
-                             "a reduced solve takes none")
-        return _reduced_slab(m, p, q_plus, q_minus, q_over_v, tol, max_iter)
-    if reduced_field is None:
-        reduced_field, _ = _reduced_slab(m, p, q_plus, q_minus, q_over_v,
-                                         tol, max_iter)
+        return reduced_solution, report
 
     rhs = slab_rhs(m, q_plus, q_minus, float(q_over_v))
     pinned = np.isin(np.arange(m.num_nodes), dirichlet_nodes(m))
@@ -632,7 +630,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     rhs_f = rhs[free]
     tangent_matrix = _free_block_assembler(m, free)
     norm_rhs = max(float(np.linalg.norm(rhs)), 1e-300)
-    w_bar = np.where(pinned, 0.0, reduced_field.values)
+    w_bar = np.where(pinned, 0.0, reduced_solution.values)
     w_bar_f = w_bar[free]
     g_bar = triangle_gradients(m, w_bar)
     # E sums a term per triangle and per free node; a row of grad E sums

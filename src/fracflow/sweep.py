@@ -135,11 +135,12 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
 def trend_check(t: SweepTable) -> TrendDiagnostics:
     """Qualitative behavior of a completed sweep table.
 
-    Requires at least three lengths, two drag values and no failed cells.
-    Violations are reported per cell rather than raised.
+    Requires at least three distinct lengths, two distinct drag values and
+    no failed cells.  Violations are reported per cell rather than raised.
     """
-    if len(t.L_values) < 3 or len(t.beta_values) < 2:
-        raise ValueError("trend check needs >= 3 lengths and >= 2 beta values")
+    if len(set(t.L_values)) < 3 or len(set(t.beta_values)) < 2:
+        raise ValueError("trend check needs >= 3 distinct lengths and >= 2 "
+                         "distinct beta values")
     if t.failed:
         raise ValueError(f"trend check requires a complete table ({len(t.failed)} failed cells)")
 

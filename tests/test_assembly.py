@@ -176,6 +176,13 @@ class TestOutputFunctional:
         with pytest.raises(AssemblyError):
             ScalarField(np.zeros(3), rect_mesh)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_field_values_checked(self, rect_mesh, bad):
+        values = np.zeros(rect_mesh.num_nodes)
+        values[1] = bad
+        with pytest.raises(AssemblyError, match="non-finite"):
+            ScalarField(values, rect_mesh)
+
 
 class TestSlabResidual:
     def test_zero_state_zero_data(self):
@@ -201,6 +208,12 @@ class TestSlabResidual:
         with pytest.raises(AssemblyError):
             assemble_slab_residual(m, FlowParams(), np.zeros(m.num_nodes),
                                    "sideways", lambda x: 0, lambda x: 0, 0.0)
+
+    def test_reservoir_mesh_rejected(self, rect_mesh):
+        with pytest.raises(AssemblyError, match="boundary tag"):
+            assemble_slab_residual(rect_mesh, FlowParams(),
+                                   np.zeros(rect_mesh.num_nodes), "isotropic",
+                                   lambda x: 0, lambda x: 0, 0.0)
 
     def test_manufactured_residual_shrinks_with_refinement(self):
         # flux u(x) = -(L - x); pressure integrates -(alpha u + beta |u| u)

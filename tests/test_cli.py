@@ -106,6 +106,21 @@ def test_validate_isotropic_gate_fails_in_deep_drag_regime(tmp_path):
     assert rc == 4
 
 
+def test_validate_isotropic_strong_drag_exits_0(tmp_path):
+    # the reduced slab's |W| reaches 8e11, whose rounding alone leaves a
+    # nodal residual of 8.3e-10 in its line equations: no Newton solve of
+    # it meets the study's 1e-10 tolerance, the closed form needs none
+    cfg = write_cfg(tmp_path, {
+        "command": "validate",
+        "domain": dict(DOMAIN, fracture_length=1.0, resolution=0.03125),
+        "params": {"alpha_f": 1.0, "beta": 1.0},
+        "validate": {"flavor": "isotropic", "apertures": [0.05], "q0": 1e5,
+                     "q_over_v": 1.0, "scalings": [1.0]}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    text = (tmp_path / "out" / "reduction.csv").read_text()
+    assert text.count("isotropic,0.05,100000,") == 2
+
+
 def test_validate_isotropic_reuses_the_unit_scaling_report(tmp_path, monkeypatch):
     # the s = 1 row is the study's report of apertures[0] at q0: one full
     # and one reduced slab solve per distinct report, and the row kept

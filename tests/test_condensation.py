@@ -331,6 +331,8 @@ def test_condensation_rejects_foreign_mesh_and_mobility(meshes):
     with pytest.raises(ValueError, match="k_p"):
         solve_pss(meshes["rectangle"], FlowParams(alpha_f=ALPHA, k_p=2.0), 1.0,
                   condensation=c)
+    with pytest.raises(ValueError, match="share one node set"):
+        condense_bulk([meshes["rectangle"], meshes["disk"]], 1.0)
     short, long = build_reservoir_mesh_family(SPECS["rectangle"], [4.0, 8.0])
     with pytest.raises(ValueError, match="outside the condensed trace"):
         solve_pss(long, FlowParams(alpha_f=ALPHA), 1.0,

@@ -107,6 +107,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="command"):
             parse_config_data(dict(MINIMAL, command="simulate"))
 
+    @pytest.mark.parametrize("data", [[MINIMAL], "solve", None])
+    def test_root_must_be_an_object(self, data):
+        with pytest.raises(ConfigError, match="root must be an object"):
+            parse_config_data(data)
+
     @pytest.mark.parametrize("sweep, match", [
         ({"max_outer": 0}, "sweep.max_outer"),
         # sweep.tol is retired: any value is an unknown key, named
@@ -143,6 +148,9 @@ class TestParseConfig:
         ("validate", {"validate": {"apertures": [0.1, 0.2]}}, "validate.apertures"),
         ("validate", {"validate": {"apertures": [0.1, 0.1]}}, "validate.apertures"),
         ("validate", {"validate": {"apertures": [0.2, 0.05, 0.1]}}, "validate.apertures"),
+        ("validate", {"validate": {"apertures": []}}, "validate.apertures"),
+        ("validate", {"validate": {"flavor": "foo"}}, "validate.flavor"),
+        ("solve", {"solver": [1e-9]}, "section 'solver' must be an object"),
     ])
     def test_bad_numbers_named(self, command, section, match):
         data = dict(MINIMAL, command=command, params={"beta": 1.0})

@@ -1,4 +1,5 @@
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -195,6 +196,12 @@ class TestMeshFamily:
         with pytest.raises(GeometryError):
             build_reservoir_mesh_family(spec, [1.0, 8.0])
 
+    def test_rejects_no_lengths_and_zero_lengths(self):
+        with pytest.raises(GeometryError, match="nonempty"):
+            build_reservoir_mesh_family(rect_spec(), [])
+        with pytest.raises(GeometryError, match="lengths must be > 0"):
+            build_reservoir_mesh_family(rect_spec(), [0.0, 1.0])
+
 
 @pytest.mark.parametrize("tags", ["reservoir", "slab"])
 def test_grid_arrays_match_the_cell_loop(tags):
@@ -380,10 +387,30 @@ class TestGeometry:
     def test_computed_once_per_mesh(self):
         m = GEOMETRY_MESHES["rectangle"]()
         assert m.area is m.area and m.basis is m.basis
-        # a copy with other fracture edges computes its own, equal, geometry
+        # a copy with other fracture edges shares the node set's geometry
         other = m.with_fracture_edges(m.fracture_edges[:1])
-        assert other.area is not m.area
-        assert np.array_equal(other.basis, m.basis)
+        assert other.area is m.area and other.basis is m.basis
+
+    def test_one_geometry_pass_per_node_set(self, monkeypatch):
+        passes = {"area": 0, "basis": 0}
+        for name in passes:
+            compute = getattr(Mesh, name).func
+
+            def counting(m, name=name, compute=compute):
+                passes[name] += 1
+                return compute(m)
+
+            prop = cached_property(counting)
+            prop.__set_name__(Mesh, name)
+            monkeypatch.setattr(Mesh, name, prop)
+        m = GEOMETRY_MESHES["rectangle"]()
+        m.area, m.basis
+        assert passes == {"area": 1, "basis": 1}
+        spec = DomainSpec(shape="disk", radius=10.0, fracture_length=4.0,
+                          resolution=1.0)
+        for member in build_reservoir_mesh_family(spec, [2.0, 3.0, 4.0]):
+            member.area, member.basis
+        assert passes == {"area": 2, "basis": 2}
 
     @pytest.mark.parametrize("tris", [[[0, 2, 1]], [[0, 1, 2], [0, 1, 3]]],
                              ids=["flipped", "degenerate"])
@@ -412,3 +439,19 @@ def test_fracture_rules_are_the_mesher_rules(spec):
     with pytest.raises(GeometryError) as built:
         build_reservoir_mesh(spec)
     assert str(built.value) == str(checked.value)
+
+
+@pytest.mark.parametrize("kw, match", [
+    (dict(fracture_length=0.0), "fracture_length"),
+    (dict(fracture_length=-1.0), "fracture_length"),
+    (dict(resolution=0.0), "resolution"),
+    (dict(grading=0.9), "grading"),
+    (dict(aperture=-1e-3), "aperture"),
+    (dict(width=0.0), "width and height"),
+    (dict(height=-2.0), "width and height"),
+    (dict(shape="disk", radius=0.0), "radius"),
+], ids=["length-zero", "length-negative", "resolution-zero", "grading-below-one",
+        "aperture-negative", "width-zero", "height-negative", "radius-zero"])
+def test_domain_spec_rejects_out_of_range_values(kw, match):
+    with pytest.raises(GeometryError, match=match):
+        rect_spec(**kw)

@@ -148,6 +148,13 @@ class TestDivergenceStudy:
     def test_h_list_must_decrease(self):
         with pytest.raises(GeometryError):
             divergence_study(1.0, 1.0 / 16, self.p, self.q, self.q, [0.1, 0.2])
+        with pytest.raises(GeometryError, match="nonempty"):
+            divergence_study(1.0, 1.0 / 16, self.p, self.q, self.q, [])
+
+    def test_unknown_flavor_rejected(self):
+        with pytest.raises(ValueError, match="unknown flavor"):
+            divergence_study(1.0, 1.0 / 16, self.p, self.q, self.q, [0.2, 0.1],
+                             flavor="sideways")
 
     def test_anisotropic_rejects_beta_zero(self):
         with pytest.raises(ValueError):

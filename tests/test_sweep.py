@@ -111,6 +111,19 @@ class TestRunSweep:
         assert np.all(np.isnan(t.J))
         assert t.meta["failed_cells"] == 2
 
+    @pytest.mark.parametrize("lengths, betas", [
+        ([2.0, 2.0, 6.0], [0.0, 1e-3]), ([2.0, 4.0, 6.0], [1e-3, 1e-3])],
+        ids=["duplicate-lengths", "duplicate-betas"])
+    def test_trend_check_needs_distinct_axes(self, lengths, betas):
+        # a repeated length makes the early gain J(L1) - J(L0) zero, which
+        # would pass the check as indeterminate
+        spec = DomainSpec(shape="rectangle", fracture_length=6.0, width=20.0,
+                          height=16.0, aperture=1.0, resolution=1.0)
+        t = run_sweep(spec, lengths, betas, 1000.0, FlowParams(alpha_f=0.05))
+        assert not t.failed
+        with pytest.raises(ValueError, match="distinct"):
+            trend_check(t)
+
     def test_empty_lists_rejected(self):
         spec = DomainSpec(shape="rectangle", fracture_length=8.0, width=60.0,
                           height=48.0, resolution=2.0)
