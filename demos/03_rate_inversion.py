@@ -2,9 +2,10 @@
 # Inverse problem: which production rate sustains a prescribed drawdown?
 # The drawdown is linear in the fracture trace's state and the rate, so
 # fixing it fixes the rate as a function of the state, and the set-point
-# is one Newton solve of a strictly convex energy on the trace.  It starts
-# from the Darcy limit, whose rate is target / G with G the gain of the
-# linear step response; each step reports the rate its state implies.
+# is one Newton solve of a strictly convex energy on the trace.  Its first
+# step is the Darcy-limit solve, so history[0] holds the rate target / G,
+# with G the gain of the linear step response (1649.26 here); each step
+# reports the rate its state implies.
 
 from fracflow import (
     DomainSpec,

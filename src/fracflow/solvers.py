@@ -37,11 +37,11 @@ whose edge fluxes conservation fixes, so it is solved in closed form.
 
 The full slab keeps the sparse path on its free (unpinned) nodes, in the
 `_grid_order` of its grid, and is solved for its correction to the
-reduced slab's solution, which is close to it because the slab is thin:
-Newton starts at that solution, and no gradient is the difference of two
-nearly equal large fields.  The tangent's sparsity pattern is built once
-per solve, and each Newton step refills its values and solves it by
-`_solve_spd`, which raises SolverError on a result it cannot verify.
+closed-form line of its own load, which is close to it because the slab
+is thin: Newton starts at that line, and no gradient is the difference
+of two nearly equal large fields.  The tangent's sparsity pattern is
+built once per solve, and each Newton step refills its values and solves
+it by `_solve_spd`, which raises SolverError on a result it cannot verify.
 Every sparse factorization, bulk or slab, is one recipe (`_ldlt`):
 SuperLU's pivot-free L D L^T of an SPD matrix in the order given.
 """
@@ -85,8 +85,8 @@ __all__ = ["BulkCondensation", "SolveReport", "TraceLine", "condense_bulk",
 
 @dataclass(frozen=True)
 class SolveReport:
-    """iterations: Newton steps taken; damping_used: the smallest
-    line-search step length among them (1.0 when every step was full)."""
+    """iterations: Newton steps (direction solves) taken; damping_used: the
+    smallest line-search step length among them (1.0 if every step was full)."""
 
     iterations: int
     final_residual: float
@@ -186,19 +186,21 @@ class _Linearization:
 
 def _newton(linearize, n: int, tol: float, max_iter: int,
             on_step=None, origin=0.0) -> tuple[np.ndarray, SolveReport]:
-    """Newton's method on n unknowns, globalized by backtracking on the
-    energy.
+    """Newton's method on n unknowns from z = 0, globalized by
+    backtracking on the energy.
 
-    linearize(z) returns the `_Linearization` at z.  The start iterate is
-    the full Newton step from zero.  Where z is the field itself, that is
+    linearize(z) returns the `_Linearization` at z.  Every step, the first
+    included, solves for its direction at the current iterate and passes
+    the same line search and stop tests, so the report's iterations count
+    the direction solves.  Where z is the field itself, the first step is
     the Darcy-limit solve (the tangent at zero gradient is the mobility
-    1/alpha): exact when beta = 0, and short of the solution's gradients
-    otherwise (f <= 1/alpha), from where Newton on the concave flux
-    s f(s) does not overshoot, in one dimension.  A start beyond them
-    (such as a linear solve at a mobility far below 1/alpha) can make
-    full steps flip the gradient's sign for many steps.  Where z is a
-    correction to an approximate solution origin (the full slab's to its
-    reduction), zero is that approximation and the start its Newton step.
+    1/alpha): exact when beta = 0, where it ends the solve, and short of
+    the solution's gradients otherwise (f <= 1/alpha), from where Newton
+    on the concave flux s f(s) does not overshoot, in one dimension.  A
+    start beyond them (such as a linear solve at a mobility far below
+    1/alpha) can make full steps flip the gradient's sign for many steps.
+    Where z is a correction to an approximate solution origin (the full
+    slab's to the line of its load), z = 0 is that approximation.
 
     A step's length halves from 1 until E falls by at least 1e-4 of the
     first-order prediction, or until both the predicted and the actual
@@ -215,8 +217,7 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
     floor, and raises SolverError with the history otherwise.
     on_step(z), if given, sees the iterate after each step.
     """
-    zero = linearize(np.zeros(n))
-    z = zero.solve(-zero.grad)
+    z = np.zeros(n)
     state = linearize(z)
     history = []
     smallest = 1.0
@@ -574,23 +575,18 @@ def _slab_constitutive(g: np.ndarray, p: FlowParams, flavor: str):
             phi + 0.5 * k * g[:, 1] ** 2)
 
 
-def _reduced_slab(m: Mesh, p: FlowParams, q_plus, q_minus,
-                  q_over_v: float) -> tuple[ScalarField, SolveReport]:
-    """The reduced slab per unit thickness, exact on the slab's x nodes
-    and extended by x index.  With no bulk, conservation fixes each edge's
-    flux as the trapezoid load b beyond it, v_e = sum_{j>e} b_j, the
+def _slab_line(m: Mesh, p: FlowParams, xs: np.ndarray, column: np.ndarray,
+               b: np.ndarray) -> tuple[ScalarField, SolveReport]:
+    """The slab's line per unit thickness under the load b on its x nodes
+    xs, extended to node i by column[i].  With no bulk, conservation fixes
+    each edge's flux as the load beyond it, v_e = sum_{j>e} b_j, the
     Forchheimer law its gradient alpha v_e + beta |v_e| v_e, and W sums
-    those from the pinned well.  The report takes no step; its residual
-    is the line equations' at those fluxes."""
-    xs = np.unique(m.nodes[:, 0])
-    dx = np.diff(xs)
-    wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
-    b = wx * (q_over_v - (_at_points(q_plus, xs) + _at_points(q_minus, xs))
-              / m.aperture)
+    those from the pinned well, where it is exactly 0.  The report takes
+    no step; its residual is the line equations' at those fluxes."""
     v = np.cumsum(b[:0:-1])[::-1]
     try:
-        z = np.concatenate([[0.0], np.cumsum(forchheimer_inverse_1d(-v, p) * dx)])
-        W = ScalarField(z[np.searchsorted(xs, m.nodes[:, 0])], m)
+        z = np.cumsum(forchheimer_inverse_1d(-v, p) * np.diff(xs))
+        W = ScalarField(np.append(0.0, z)[column], m)
     except (ValueError, AssemblyError) as exc:  # beyond the float range
         raise SolverError(f"reduced slab: {exc}", [("closed form", str(exc))]) from exc
     # node i >= 1 balances v_{i-1} - v_i = b_i; no edge lies beyond the tip
@@ -606,23 +602,27 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
 
     With ``reduced=True`` the lateral inflow moves into the volumetric
     source q_over_v - (q+(x)+q-(x))/h and the lateral boundary becomes
-    no-flow, which makes the solution independent of y: the 1-D line of
-    `_reduced_slab`, solved in closed form with no Newton step.
+    no-flow, which makes the solution independent of y: the `_slab_line`
+    of that source's trapezoid load, in closed form with no Newton step.
 
     The full slab minimizes sum_T area_T Psi(grad W) - rhs . W over the
     fields that vanish on the pressure-pinned boundary, by Newton on its
-    free nodes for delta = W - Wbar, Wbar the reduced solution (zero on
-    the pinned nodes), from delta = 0: the thin slab's W is close to Wbar.
-    Every triangle's gradient is g(Wbar) + g(delta), g(Wbar) computed
-    once; on the grid slab g_y(Wbar) = 0 exactly, so the flux across the
-    fracture comes from delta alone, free of the cancellation of two
-    nearly equal large fields.  The line search descends the full energy
-    at Wbar + delta, and its updates are relative to it.
+    free nodes for delta = W - Wbar from delta = 0.  Wbar is the line of
+    the full slab's own load, rhs summed per x column per unit thickness,
+    which the thin slab's W is close to.  Every triangle's gradient is
+    g(Wbar) + g(delta), g(Wbar) computed once; on the grid slab
+    g_y(Wbar) = 0 exactly, so the flux across the fracture comes from
+    delta alone, free of the cancellation of two nearly equal large
+    fields.  The line search descends the full energy at Wbar + delta,
+    and its updates are relative to it.
     """
     _check_slab(m, flavor)
-    reduced_solution, report = _reduced_slab(m, p, q_plus, q_minus, q_over_v)
+    xs, column = np.unique(m.nodes[:, 0], return_inverse=True)
     if reduced:
-        return reduced_solution, report
+        dx = np.diff(xs)
+        wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
+        return _slab_line(m, p, xs, column, wx * (
+            q_over_v - (_at_points(q_plus, xs) + _at_points(q_minus, xs)) / m.aperture))
 
     rhs = slab_rhs(m, q_plus, q_minus, float(q_over_v))
     pinned = np.isin(np.arange(m.num_nodes), dirichlet_nodes(m))
@@ -630,7 +630,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     rhs_f = rhs[free]
     tangent_matrix = _free_block_assembler(m, free)
     norm_rhs = max(float(np.linalg.norm(rhs)), 1e-300)
-    w_bar = np.where(pinned, 0.0, reduced_solution.values)
+    w_bar = _slab_line(m, p, xs, column, np.bincount(column, rhs) / m.aperture)[0].values
     w_bar_f = w_bar[free]
     g_bar = triangle_gradients(m, w_bar)
     # E sums a term per triangle and per free node; a row of grad E sums

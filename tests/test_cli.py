@@ -93,6 +93,23 @@ def test_validate_anisotropic_passes(tmp_path):
     assert text.count("anisotropic") == 3
 
 
+@pytest.mark.parametrize("aperture, code", [(0.002, 0), (0.0002, 4)])
+def test_validate_thin_anisotropic_slab(tmp_path, aperture, code):
+    # the full slab starts at the line of its own load and converges at
+    # both apertures.  At 2e-4 the bound itself fails (exit 4): the reduced
+    # line's trapezoid load differs from the slab's consistent one by
+    # O(dx^2) against a W_x that grows like 1/h
+    cfg = write_cfg(tmp_path, {
+        "command": "validate",
+        "domain": dict(DOMAIN, fracture_length=1.0, resolution=0.03125),
+        "params": {"alpha_f": 1.0, "beta": 1.0},
+        "validate": {"flavor": "anisotropic", "apertures": [aperture],
+                     "q0": 2.0}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+    text = (tmp_path / "out" / "reduction.csv").read_text()
+    assert text.count("anisotropic") == 1
+
+
 def test_validate_isotropic_gate_fails_in_deep_drag_regime(tmp_path):
     # strong data in a strongly nonlinear regime: the empirical stability
     # constant drifts far beyond the factor-4 gate

@@ -226,7 +226,7 @@ class TestSetpointProperties:
         res = solve_setpoint(m, p, target, condensation=c)
         assert res.Q == pytest.approx(reference_rate(m, c, p, target), rel=2e-6)
         assert abs(res.PDD - target) <= 1e-12 * target
-        assert res.outer_iterations <= 4, res.history
+        assert res.outer_iterations <= 5, res.history  # the Darcy start included
         # every step's drawdown meets the target within the rounding of its
         # terms w . z = V C - q m_I . u and q m_I . u (`solve_setpoint`)
         line = c.line(m, p.k_p)

@@ -76,8 +76,8 @@ def count_calls(monkeypatch, name):
 
 def record_accepted_states(monkeypatch):
     """States the Newton loop accepts, in order: every state whose tangent
-    system it solves (zero for the start, then the base of each step) and
-    the state it returns."""
+    system it solves (the base of each step, zero first) and the state it
+    returns."""
     states = []
     newton = fracflow.solvers._newton
 
@@ -222,6 +222,29 @@ class TestNewton:
         assert rep.converged and rep.damping_used == 0.25
         assert np.allclose(z, np.linalg.solve(A, b), rtol=1e-12)
 
+    def test_iterations_count_direction_solves(self):
+        # the first step, from z = 0, is a step like any other: on this
+        # quadratic it is exact, meets tol and ends the solve
+        A = np.array([[2.0, 0.5], [0.5, 1.0]])
+        b = np.array([1.0, -2.0])
+        solves = []
+
+        def linearize(z):
+            grad = A @ z - b
+
+            def solve(v):
+                solves.append(np.array(z))
+                return np.linalg.solve(A, v)
+
+            return _Linearization(0.5 * z @ A @ z - b @ z, grad,
+                                  float(np.linalg.norm(grad) / np.linalg.norm(b)),
+                                  solve)
+
+        z, rep = _newton(linearize, 2, 1e-12, 20)
+        assert rep.converged and rep.iterations == len(solves) == 1
+        assert np.array_equal(solves[0], np.zeros(2))
+        assert np.allclose(z, np.linalg.solve(A, b), rtol=1e-12)
+
     @staticmethod
     def half_solved(floor=0.0):
         """E = |z|^2 / 2 - b.z with a tangent solve that never moves the
@@ -240,15 +263,16 @@ class TestNewton:
 
     def test_stalled_iterate_above_its_rounding_floor_raises(self):
         # the update test alone used to report this iterate converged
-        with pytest.raises(SolverError, match="stalled in step 1 at residual "
+        with pytest.raises(SolverError, match="stalled in step 2 at residual "
                                               "0.707107, above its rounding "
                                               "floor 0") as err:
             _newton(self.half_solved(), 2, 1e-9, 20)
-        assert err.value.history == [(0.0, pytest.approx(2 ** -0.5), 1.0)]
+        assert err.value.history == [(1.0, pytest.approx(2 ** -0.5), 1.0),
+                                     (0.0, pytest.approx(2 ** -0.5), 1.0)]
 
     def test_stalled_iterate_within_its_rounding_floor_converges(self):
         z, rep = _newton(self.half_solved(1.0), 2, 1e-9, 20)
-        assert rep.converged and rep.iterations == 1
+        assert rep.converged and rep.iterations == 2
         assert rep.final_residual == pytest.approx(2 ** -0.5)
         assert np.array_equal(z, [1.0, 0.0])
 
@@ -258,17 +282,17 @@ class TestNewton:
 
         def failing(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 3:  # the start, step 1, then step 2 fails
+            if len(calls) == 3:  # steps 1 and 2, then step 3 fails
                 raise RuntimeError("Factor is exactly singular")
             return splu(*args, **kwargs)
 
         monkeypatch.setattr(fracflow.solvers, "splu", failing)
         m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
         q = lambda x: 2.0 * (1.0 - x)
-        with pytest.raises(SolverError, match="Newton step 2") as err:
+        with pytest.raises(SolverError, match="Newton step 3") as err:
             solve_slab(m, FlowParams(beta=1.0), "isotropic", q, q, 0.0)
         history = err.value.history
-        assert len(history) == 2 and len(history[0]) == 3
+        assert len(history) == 3 and len(history[0]) == len(history[1]) == 3
         assert history[-1][0] == "direct"
 
     def test_non_finite_iterate_raises_with_step_history(self, rect_mesh, monkeypatch):
@@ -283,7 +307,7 @@ class TestNewton:
         monkeypatch.setattr(fracflow.solvers, "_pinned_solve", exploding)
         with pytest.raises(SolverError, match="finite") as err:
             solve_pss(rect_mesh, FlowParams(alpha_f=0.05, beta=0.1), 1000.0)
-        assert len(err.value.history) == 1
+        assert len(err.value.history) == 2
 
 
 class TestSolveSpd:
@@ -392,7 +416,7 @@ class TestSolvePss:
         c = condense_bulk(rect_mesh, p.k_p)
         states = record_accepted_states(monkeypatch)
         _, rep = solve_pss(rect_mesh, p, Q, tol=1e-12, condensation=c)
-        assert len(states) == rep.iterations + 2 >= 4
+        assert len(states) == rep.iterations + 1 >= 4
         q = Q / c.line(rect_mesh, p.k_p).volume
         e = np.array([pss_energy(rect_mesh, p, c.full_field(rect_mesh, z, q), Q)
                       for z in states])
@@ -400,12 +424,12 @@ class TestSolvePss:
         assert e[-1] < e[0]
 
     def test_flux_and_tangent_evaluated_once_per_step(self, rect_mesh, monkeypatch):
-        # one evaluation for the Darcy start (at zero), one at the start
-        # iterate and one per Newton step, when no step is cut
+        # one evaluation at zero and one per Newton step (the Darcy start
+        # included), when no step is cut
         calls = count_calls(monkeypatch, "_forchheimer")
         _, rep = solve_pss(rect_mesh, FlowParams(alpha_f=0.05, beta=0.1), 1000.0)
         assert rep.iterations > 1 and rep.damping_used == 1.0
-        assert len(calls) == rep.iterations + 2
+        assert len(calls) == rep.iterations + 1
 
     def test_iteration_budget_enforced(self, rect_mesh):
         p = FlowParams(alpha_f=0.01, beta=1.0)
@@ -434,6 +458,29 @@ def exact_reduced_line(m, p, q, q_over_v):
     return z, slack
 
 
+def column_line(m, p, rhs):
+    """The slab's 1-D line on every node under rhs summed per x column,
+    per unit thickness: edge flux v_e = the load beyond edge e, gradient
+    alpha v + beta |v| v, summed from the pinned well at x = 0."""
+    xs, column = np.unique(m.nodes[:, 0], return_inverse=True)
+    b = np.bincount(column, rhs) / m.aperture
+    v = np.cumsum(b[:0:-1])[::-1]
+    g = p.alpha_f * v + p.beta * np.abs(v) * v
+    return np.concatenate([[0.0], np.cumsum(g * np.diff(xs))])[column]
+
+
+def slab_stiffness(m, p, W, flavor):
+    """K(W) of `assemble_slab_residual`: the bulk stiffness at the
+    mobility of W's gradients."""
+    g = triangle_gradients(m, W.values)
+    if flavor == "isotropic":
+        return _bulk_stiffness(m, fbeta_iso(np.linalg.norm(g, axis=1), p))
+    coef = np.zeros((len(g), 2, 2))
+    coef[:, 0, 0] = fbeta_iso(np.abs(g[:, 0]), p)
+    coef[:, 1, 1] = 1.0 / p.alpha_f
+    return _bulk_stiffness(m, coef)
+
+
 class TestSolveSlab:
     def test_zero_data_zero_solution(self):
         m = build_fracture_slab_mesh(1.0, 0.1, 8, 4)
@@ -445,14 +492,18 @@ class TestSolveSlab:
             assert rep.converged
 
     @pytest.mark.parametrize("flavor", ["isotropic", "anisotropic"])
-    def test_darcy_slab_takes_one_step(self, flavor):
-        # the reduced slab is solved in closed form, with no step
+    def test_darcy_slab_takes_one_step(self, flavor, monkeypatch):
+        # the reduced slab is solved in closed form, with no step; the full
+        # slab's first step is its linear solve, which meets tol and ends it
+        factorizations = count_calls(monkeypatch, "splu")
         m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
         q = lambda x: 2.0 * (1.0 - x)
         for reduced, steps in ((False, 1), (True, 0)):
+            made = len(factorizations)
             _, rep = solve_slab(m, FlowParams(alpha_f=2.0, beta=0.0), flavor,
                                 q, q, 0.5, reduced=reduced)
             assert rep.iterations == steps and rep.converged
+            assert len(factorizations) - made == steps
 
     @settings(max_examples=30, deadline=None)
     @given(flavor=st.sampled_from(["isotropic", "anisotropic"]),
@@ -472,6 +523,20 @@ class TestSolveSlab:
         # 300-sample scan)
         assert (np.linalg.norm(r)
                 <= (tol + 1e-10) * np.linalg.norm(slab_rhs(m, q, q, q_over_v)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(flavor=st.sampled_from(["isotropic", "anisotropic"]),
+           h=st.floats(2e-4, 0.2), beta=st.floats(0.1, 10.0),
+           q0=st.floats(-8.0, 8.0), q_over_v=st.floats(-1.0, 1.0))
+    def test_thin_slab_converges(self, flavor, h, beta, q0, q_over_v):
+        # down to h = 2e-4 the slab's transverse stiffness, k / (h / 8)^2,
+        # dwarfs the rest of its tangent; started at the line of its own
+        # load, the solve still converges
+        m = build_fracture_slab_mesh(1.0, h, 32, 8)
+        q = lambda x: q0 * (1.0 - x)
+        _, rep = solve_slab(m, FlowParams(alpha_f=1.0, beta=beta), flavor,
+                            q, q, q_over_v, tol=1e-10)
+        assert rep.converged and rep.final_residual <= 1e-10
 
     @pytest.mark.parametrize("q0", [4.0, 8.0])
     def test_deep_drag_isotropic_slab_converges(self, q0, monkeypatch):
@@ -504,55 +569,55 @@ class TestSolveSlab:
         assert rep.converged and rep.iterations == 3
         assert rep.final_residual <= 1e-8
 
-    def test_strong_contrast_slab_raises_or_solves(self):
-        # where t(|g_x|) << 1/alpha_f the anisotropic tangent is badly scaled
-        # and the verified direction solve raises; a slab that returns must
-        # solve its residual, whatever the contrast
+    def test_strong_contrast_slab_solves(self):
+        # where t(|g_x|) << 1/alpha_f the anisotropic tangent is badly
+        # scaled; started at the line of its own load, every slab converges
         m = build_fracture_slab_mesh(1, 0.05, 32, 8)
-        solved = {"isotropic": 0, "anisotropic": 0}
-        for flavor in solved:
+        free = np.setdiff1d(np.arange(m.num_nodes), dirichlet_nodes(m))
+        eps = np.finfo(float).eps
+        for flavor in ("isotropic", "anisotropic"):
             for q0, beta in [(1e3, 1e3), (1e5, 1.0), (1e5, 1e3), (8.0, 1.0)]:
                 p = FlowParams(alpha_f=1.0, beta=beta)
                 q = lambda x: q0 * (1.0 - x)
-                try:
-                    W, rep = solve_slab(m, p, flavor, q, q, 0.0, tol=1e-10)
-                except SolverError:
-                    continue
+                W, rep = solve_slab(m, p, flavor, q, q, 0.0, tol=1e-10)
+                assert rep.converged and rep.final_residual <= 1e-10, (flavor, q0, beta)
+                # the oracle's nodal residual K(W) W - rhs reads the float64
+                # storage of W: at the three strong-contrast anisotropic
+                # slabs |r| / |rhs| is 7.8e-6, 7.7e-7 and 8.4e-4 at any
+                # stored W, so a bound on it cannot tell a stall from
+                # convergence.  Its componentwise backward error on the free
+                # rows, |r_i| / (|K(W)| |W| + |rhs|)_i, can: it is a few
+                # units of rounding at a solution
                 r = assemble_slab_residual(m, p, W, flavor, q, q, 0.0)
-                assert rep.converged
-                assert (np.linalg.norm(r)
-                        <= 1e-8 * np.linalg.norm(slab_rhs(m, q, q, 0.0))), (flavor, q0, beta)
-                solved[flavor] += 1
-        # the three strong-contrast anisotropic slabs stall far above the
-        # computed rounding floor and raise
-        assert solved == {"isotropic": 4, "anisotropic": 1}, solved
-        # at tol 1e-14 these stall 2% above the floor of the element terms
-        # alone; with each gradient's rounding counted they converge
+                rhs = slab_rhs(m, q, q, 0.0)
+                scale = abs(slab_stiffness(m, p, W, flavor)) @ np.abs(W.values) + np.abs(rhs)
+                backward = np.abs(r[free]) / scale[free]
+                assert backward.max() <= 4.0 * eps, (flavor, q0, beta, backward.max() / eps)
+        # at tol 1e-14 the solve meets the tolerance itself
         p = FlowParams(alpha_f=1.0, beta=1.0)
         for flavor, q0 in [("isotropic", 4.0), ("anisotropic", 2.0)]:
             q = lambda x: q0 * (1.0 - x)
             _, rep = solve_slab(m, p, flavor, q, q, 0.0, tol=1e-14)
-            assert rep.converged and rep.final_residual > 1e-14, (flavor, rep)
+            assert rep.converged and rep.final_residual <= 1e-14, (flavor, rep)
 
     @pytest.mark.parametrize("flavor", ["isotropic", "anisotropic"])
     def test_slab_energy_descends_along_iterates(self, flavor, monkeypatch):
         m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
         p = FlowParams(alpha_f=1.0, beta=1.0)
         q = lambda x: 4.0 * (1.0 - x)
-        red, _ = solve_slab(m, p, flavor, q, q, 0.5, tol=1e-12, reduced=True)
+        rhs = slab_rhs(m, q, q, 0.5)
+        w_bar = column_line(m, p, rhs)
         states = record_accepted_states(monkeypatch)
         _, rep = solve_slab(m, p, flavor, q, q, 0.5, tol=1e-12)
-        # the full solve's corrections W - Wbar to its reduction Wbar (the
-        # reduced slab takes no Newton step), on the solver's free nodes in
-        # its order
+        # the full solve's corrections W - Wbar to the line Wbar of its own
+        # load, on the solver's free nodes in its order
         pinned = np.isin(np.arange(m.num_nodes), dirichlet_nodes(m))
         free = _grid_order(m.grid, ~pinned)
-        assert len(states) == rep.iterations + 2
-        rhs = slab_rhs(m, q, q, 0.5)
+        assert len(states) == rep.iterations + 1
         area = m.area
         energies = []
         for delta_free in states:
-            w = red.values.copy()
+            w = w_bar.copy()
             w[free] += delta_free
             g = triangle_gradients(m, w)
             if flavor == "isotropic":
@@ -566,16 +631,16 @@ class TestSolveSlab:
         assert e[-1] < e[1] < e[0]  # e[0] is the energy of Wbar
 
     def test_full_slab_refills_one_pattern(self, monkeypatch):
-        # no constraint elimination: one factorization for the start (the
-        # Newton step from the reduced solution) and one per Newton step,
-        # the last state needs none
+        # no constraint elimination: one factorization per Newton step, the
+        # first (from the line of the slab's load) included; the last state
+        # needs none
         factorizations = count_calls(monkeypatch, "splu")
         eliminations = count_calls(monkeypatch, "apply_constraints")
         m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
         q = lambda x: 2.0 * (1.0 - x)
         _, rep = solve_slab(m, FlowParams(beta=1.0), "anisotropic", q, q, 0.0)
         assert rep.iterations > 1
-        assert len(factorizations) == rep.iterations + 1
+        assert len(factorizations) == rep.iterations
         assert eliminations == []
 
     def test_reduced_solution_is_y_independent(self):
@@ -744,9 +809,9 @@ def test_every_factorization_follows_one_recipe(tmp_path, monkeypatch):
 
 def test_criterion_11_validate_factorizes_once_per_full_step(tmp_path, monkeypatch):
     # the acceptance validate configs (criterion 11): each full slab is
-    # solved as a correction to its reduced solution, which is exact and
-    # factorizes nothing, so it makes 18 factorizations in 12 Newton steps
-    # (32 when every full solve started from the Darcy limit)
+    # solved as a correction to the line of its own load, a closed form
+    # that factorizes nothing, so it makes 17 factorizations, one per
+    # Newton step (32 when every full solve started from the Darcy limit)
     calls = count_calls(monkeypatch, "splu")
     slab = {"shape": "rectangle", "width": 100.0, "height": 80.0,
             "fracture_length": 1.0, "aperture": 1.0, "resolution": 1.0 / 32}
@@ -763,7 +828,7 @@ def test_criterion_11_validate_factorizes_once_per_full_step(tmp_path, monkeypat
         cfg.write_text(json.dumps(dict(config, command="validate", domain=slab)))
         assert main(["validate", "--config", str(cfg),
                      "--out", str(tmp_path / f"out{k}")]) == 0
-    assert len(calls) == 18
+    assert len(calls) == 17
 
 
 def test_solve_meets_its_tolerance_where_a_late_step_raises_the_energy(tmp_path):
