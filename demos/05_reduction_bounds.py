@@ -15,9 +15,12 @@ L = 1.0
 q = linear_inflow(2.0, L)  # lateral inflow, strongest at the well end
 
 # Anisotropic drag (quadratic along the fracture, linear across): the
-# difference functional is bounded by h/(2k) * int (q+)^2 + (q-)^2, with
-# no h in the way that matters: both solutions blow up as the slab thins,
-# their difference does not.
+# difference functional is bounded by h/(2k) * int (q+)^2 + (q-)^2.  Both
+# solutions blow up as the slab thins; at these apertures their difference
+# shrinks with h, at lhs/rhs near 0.16.  Thinner, the reduced line's
+# trapezoid load and the slab's consistent P1 load part: at this resolution
+# lhs/rhs climbs from h ~ 0.005 and the bound fails by h = 2e-4, while at
+# resolution 1/128 it holds there (lhs/rhs 0.178).
 params = FlowParams(alpha_f=1.0, beta=1.0)
 reports = divergence_study(L, 1.0 / 32, params, q, q, [0.2, 0.1, 0.05], q0=2.0)
 print("anisotropic bound, shrinking thickness:")

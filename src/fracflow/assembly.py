@@ -109,13 +109,28 @@ def _local_stiffness(m: Mesh, coef) -> np.ndarray:
     return local
 
 
-def _bulk_stiffness(m: Mesh, coef) -> sparse.csr_matrix:
-    """Stiffness sum_T of the element matrices of `_local_stiffness`."""
-    rows = np.repeat(m.triangles, 3, axis=1).ravel()
-    cols = np.tile(m.triangles, (1, 3)).ravel()
+def _bulk_stiffness(m: Mesh, coef, order=None) -> sparse.csc_matrix:
+    """Stiffness sum_T of the element matrices of `_local_stiffness`, CSC.
+
+    With `order` (node ids), node order[k] is row and column k and the
+    nodes outside it are dropped.  No entry equal to 0.0 is stored: a right
+    angle's opposite edge couples by cot 90 deg = 0, so a grid mesh would
+    otherwise store (and a factor fill) a zero for each of its hypotenuses,
+    and on a disk a few couplings sum to exactly 0.0.
+    """
+    tri = m.triangles
     n = m.num_nodes
-    return sparse.coo_matrix((_local_stiffness(m, coef).ravel(), (rows, cols)),
-                             shape=(n, n)).tocsr()
+    if order is not None:
+        rank = np.full(n, -1)
+        rank[order] = np.arange(len(order))
+        tri, n = rank[tri], len(order)
+    rows = np.repeat(tri, 3, axis=1).ravel()
+    cols = np.tile(tri, (1, 3)).ravel()
+    keep = (rows >= 0) & (cols >= 0)
+    A = sparse.coo_matrix((_local_stiffness(m, coef).ravel()[keep],
+                           (rows[keep], cols[keep])), shape=(n, n)).tocsc()
+    A.eliminate_zeros()
+    return A
 
 
 def _free_block_assembler(m: Mesh, free: np.ndarray):

@@ -335,7 +335,8 @@ def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
     whose tangent is line.operator(S, h * t(|z_x|)).  norm_b scales the
     residual; on_step goes to `_newton`.  The rounding of E and grad E is
     bounded from |S| |z|, |flux| and |b|, by gamma_2n, since z.Sz nests
-    two sums of n terms.
+    two sums of n terms; grad E's bound adds the rounding of z itself,
+    carried into each edge's flux by the tangent.
     """
     norm_b = max(norm_b, 1e-300)
     h = line.h
@@ -355,10 +356,15 @@ def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
             Sz_abs = np.abs(S) @ np.abs(z)
             terms = (0.5 * float(np.abs(z) @ Sz_abs) + h * float(line.ell @ phi)
                      + float(np.abs(b) @ np.abs(z)))
-            magnitude = Sz_abs + np.abs(b) + np.bincount(
-                line.edges.ravel(), weights=np.repeat(np.abs(coef), 2), minlength=n)
+            # z itself is rounded, by up to eps (|z_i| + |z_j|) / ell_e in
+            # each edge gradient, which the tangent h t carries into the flux
+            z_abs = np.abs(z[line.edges])
+            gx_err = np.finfo(float).eps * (z_abs[:, 0] + z_abs[:, 1]) / line.ell
+            magnitude = gamma * (Sz_abs + np.abs(b)) + np.bincount(
+                line.edges.ravel(), minlength=n,
+                weights=np.repeat(gamma * np.abs(coef) + h * t * gx_err, 2))
             magnitude[0] = 0.0
-            return gamma * terms, gamma * float(np.linalg.norm(magnitude)) / norm_b
+            return gamma * terms, float(np.linalg.norm(magnitude)) / norm_b
 
         return _Linearization(energy, grad, float(np.linalg.norm(grad)) / norm_b,
                               lambda v: _pinned_solve(line.operator(S, h * t), v),
@@ -478,8 +484,9 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
 
     The interior is put in the fill-reducing `_grid_order` of the mesh's
     grid, which with the trace must hold every node exactly once
-    (ValueError otherwise).  The bulk without the pinned well, ordered
-    [interior, trace], is factorized once by `_ldlt`, in this order and
+    (ValueError otherwise).  The bulk without the pinned well, assembled
+    ordered [interior, trace] and without its zero couplings
+    (`_bulk_stiffness`), is factorized once by `_ldlt`, in this order and
     without pivoting (K = L D L^T in SuperLU's K = L U with U = D L^T),
     and S is read off the trailing block: S = U_GG^T D^-1 U_GG.
     """
@@ -498,12 +505,13 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
         raise ValueError("mesh grid does not hold every interior node exactly once")
     interior = _grid_order(m.grid, position < 0)
     order = np.concatenate([interior, trace[1:]])
-    A = _bulk_stiffness(m, k_p).tocsr()
+    # assembled in this order, and unnamed, so that it is freed before lu.U;
     # S is the trailing block only of a factor that kept this order
-    lu = _ldlt(A[order][:, order], "bulk operator off the well")
+    lu = _ldlt(_bulk_stiffness(m, k_p, order), "bulk operator off the well")
 
     nI = len(interior)
-    U = lu.U[nI:, nI:].toarray()  # the getter copies the whole factor
+    # the getter builds CSC copies of both L and U and caches them in lu
+    U = lu.U[nI:, nI:].toarray()
     S = np.zeros((len(trace), len(trace)))
     S_GG = U.T @ (U / np.diag(U)[:, None])
     # the upper triangle mirrored, so that S is exactly symmetric

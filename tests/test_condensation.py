@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 import fracflow.solvers
@@ -32,6 +33,7 @@ from fracflow import (
 from fracflow.assembly import (
     _bulk_stiffness,
     _line_stiffness,
+    _local_stiffness,
     assemble_A,
     assemble_B_in,
     assemble_F_residual,
@@ -39,7 +41,7 @@ from fracflow.assembly import (
     output_C,
 )
 from fracflow.kernels import fbeta_iso
-from fracflow.solvers import _grid_order, condense_bulk
+from fracflow.solvers import _grid_order, _ldlt, condense_bulk
 from pinned_solve import solve_pinned
 
 ALPHA = 0.05
@@ -212,6 +214,37 @@ def test_grid_order_fills_no_more_than_minimum_degree():
         order = np.concatenate([mmd, c.trace[1:]])
         lu = splu(A[order][:, order].tocsc(), permc_spec="NATURAL", **symmetric)
         assert c.lu.L.nnz + c.lu.U.nnz <= 1.1 * (lu.L.nnz + lu.U.nnz), spec.shape
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "disk"])
+def test_bulk_is_assembled_in_the_factor_order_without_zeros(meshes, shape):
+    # the reference sums every element entry in node order and permutes
+    # the sum: the rectangle's grid stores a 0.0 for each right angle's
+    # hypotenuse (cot 90 deg = 0), and on the disk two couplings sum to 0.0
+    m = meshes[shape]
+    c = condense_bulk(m, 1.0)
+    order = np.concatenate([c.interior, c.trace[1:]])
+    A = _bulk_stiffness(m, 1.0, order)
+    assert A.format == "csc" and A.has_sorted_indices
+    assert np.all(A.data != 0.0)
+    rows = np.repeat(m.triangles, 3, axis=1).ravel()
+    cols = np.tile(m.triangles, (1, 3)).ravel()
+    kept = sparse.coo_matrix((_local_stiffness(m, 1.0).ravel(), (rows, cols)),
+                             shape=(m.num_nodes, m.num_nodes)).tocsr()
+    kept = kept[order][:, order].tocsc()
+    ref = kept.copy()
+    ref.eliminate_zeros()
+    ref.sort_indices()
+    assert ref.nnz < kept.nnz
+    assert np.array_equal(A.indptr, ref.indptr)
+    assert np.array_equal(A.indices, ref.indices)
+    # duplicates may be summed in another order: 1 ulp
+    assert np.all(np.abs(A.data - ref.data) <= np.spacing(np.abs(ref.data)))
+    identity = np.arange(len(order))
+    assert np.array_equal(c.lu.perm_r, identity)
+    assert np.array_equal(c.lu.perm_c, identity)
+    if shape == "rectangle":
+        assert c.lu.nnz < _ldlt(kept, "bulk with its zeros").nnz
 
 
 def test_grid_missing_a_node_rejected(meshes):

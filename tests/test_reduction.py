@@ -145,6 +145,17 @@ class TestDivergenceStudy:
         assert reports[-1].lhs <= 1.1 * reports[0].lhs
         assert all(r.bound_holds for r in reports)
 
+    def test_anisotropic_bound_holds_to_the_thin_limit_at_fine_resolution(self):
+        # the reduced line takes a trapezoid load and the slab the consistent
+        # P1 one; at resolution 1/32 that pushes lhs/rhs from 0.16 to 4.2 by
+        # h = 2e-4, where the bound fails, and at 1/128 only to 0.178
+        hs = [0.05, 0.01, 0.005, 0.002, 0.001, 5e-4, 2e-4]
+        reports = divergence_study(1.0, 1.0 / 128, self.p, self.q, self.q, hs,
+                                   q0=2.0)
+        assert [r.h for r in reports] == hs
+        assert all(r.bound_holds for r in reports)
+        assert max(r.lhs / r.rhs for r in reports) < 0.2
+
     def test_h_list_must_decrease(self):
         with pytest.raises(GeometryError):
             divergence_study(1.0, 1.0 / 16, self.p, self.q, self.q, [0.1, 0.2])

@@ -29,14 +29,16 @@ from fracflow.assembly import (
     triangle_gradients,
 )
 from fracflow.cli import main
-from fracflow.kernels import fbeta_iso
+from fracflow.kernels import fbeta_iso, forchheimer_inverse_1d
 from fracflow.solvers import (
     _forchheimer,
     _grid_order,
     _Linearization,
     _newton,
     _slab_constitutive,
+    _solve_line,
     _solve_spd,
+    TraceLine,
     condense_bulk,
     pss_energy,
 )
@@ -275,6 +277,26 @@ class TestNewton:
         assert rep.converged and rep.iterations == 2
         assert rep.final_residual == pytest.approx(2 ** -0.5)
         assert np.array_equal(z, [1.0, 0.0])
+
+    def test_line_stall_within_the_rounding_of_z_converges(self):
+        # the strong-drag reduced slab as a zero-bulk line (h = 0.05, q0 =
+        # 1e5, q/V = 1): W reaches 8e11, and the rounding of z alone leaves
+        # a residual of 8.3e-10, above tol; a floor without it (1.8e-13)
+        # raised a stall on what is the exact line to rounding
+        p = FlowParams(alpha_f=1.0, beta=1.0)
+        xs = np.linspace(0.0, 1.0, 33)
+        dx = np.diff(xs)
+        wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
+        b = wx * (1.0 - 2.0 * 1e5 * (1.0 - xs) / 0.05)
+        edges = np.column_stack([np.arange(32), np.arange(1, 33)])
+        line = TraceLine(1.0, edges, dx, wx, wx, 1.0)
+        z, rep = _solve_line(np.zeros((33, 33)), line, p, b,
+                             float(np.linalg.norm(b)), 1e-10, 100)
+        assert rep.converged and rep.final_residual > 1e-10
+        # the closed form: each edge's flux is the load beyond it
+        v = np.cumsum(b[:0:-1])[::-1]
+        exact = np.append(0.0, np.cumsum(forchheimer_inverse_1d(-v, p) * dx))
+        assert np.abs(z - exact).max() <= 1e-14 * np.abs(exact).max()
 
     def test_singular_factor_raises_with_step_history(self, monkeypatch):
         splu = fracflow.solvers.splu
