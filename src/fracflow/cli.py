@@ -88,6 +88,7 @@ def _cmd_inverse(spec: RunSpec, out: Path) -> int:
         field, _ = solve_pss(mesh, spec.params, result.Q, tol=spec.solver.tol,
                              max_iter=spec.solver.max_picard,
                              condensation=condensation)
+        del condensation  # its factor is not needed to write the field
         write_field_vtk(mesh, field, out / "pressure.vtk")
     return EXIT_OK
 

@@ -2,13 +2,15 @@
 
 The central object is the scalar mobility
 
-    fbeta_iso(z) = 2 / (alpha + sqrt(alpha^2 + 4*beta*z)),   z = |grad p| >= 0,
+    f(z) = 2 / (alpha + sqrt(alpha^2 + 4*beta*z)),   z = |grad p| >= 0,
 
 which turns the quadratic-drag momentum law into a gradient-driven flux
-``v = -fbeta_iso(|grad p|) * grad p``.  The remaining functions are the
-inverse map from flux back to gradient and small analytic helpers used by
-the model-reduction validator.  The anisotropic slab drags only along
-the fracture; across it the mobility is the Darcy limit 1/alpha_f.
+``v = -f(|grad p|) * grad p``.  `_forchheimer` is the law's one home,
+with its tangent and drag potential; `fbeta_iso` is f with checked
+input.  The remaining functions are the inverse map from flux back to
+gradient and small analytic helpers used by the model-reduction
+validator.  The anisotropic slab drags only along the fracture; across
+it the mobility is the Darcy limit 1/alpha_f.
 
 All kernels are pure and accept scalars or numpy arrays (broadcasting);
 scalar input yields scalar output.
@@ -58,20 +60,32 @@ def _check_finite(x, name):
         raise ValueError(f"{name} must be finite")
 
 
-def fbeta_iso(grad_norm, p: FlowParams):
-    """Scalar Darcy-Forchheimer mobility 2/(alpha + sqrt(alpha^2 + 4*beta*z)).
+def _forchheimer(s, p: FlowParams):
+    """Mobility f, flux tangent t = d(s f)/ds and drag potential
+    Phi(s) = int_0^s sigma f(sigma) dsigma at gradient norms s >= 0, from
+    one root u = sqrt(alpha^2 + 4 beta s): f = 2/(alpha + u), t = 1/u and,
+    free of cancellation with delta = u - alpha = 4 beta s / (alpha + u),
 
-    Equals 1/alpha when beta*z = 0 and decreases strictly in z for beta > 0.
-    The f = 2/(alpha + sqrt(...)) form stays well defined at beta = 0; the
-    algebraically equivalent (-alpha + sqrt(...))/(2*beta*z) form is never
-    used, so there is no division by beta anywhere.
+        Phi(s) = s^2 (2 alpha + 4 delta / 3) / (alpha + u)^2.
+
+    At beta = 0, f = 1/alpha and Phi = s^2 / (2 alpha); nothing divides
+    by beta, and f decreases strictly in s for beta > 0.
     """
+    s = np.asarray(s, dtype=float)
+    a = p.alpha_f
+    u = np.sqrt(a * a + 4.0 * p.beta * s)
+    f = 2.0 / (a + u)
+    delta = 2.0 * p.beta * s * f
+    return f, 1.0 / u, (s * f) ** 2 * (a / 2.0 + delta / 3.0)
+
+
+def fbeta_iso(grad_norm, p: FlowParams):
+    """The mobility f of `_forchheimer` at checked gradient norms z >= 0."""
     z = np.asarray(grad_norm, dtype=float)
     _check_finite(z, "grad_norm")
     if np.any(z < 0):
         raise ValueError("grad_norm must be >= 0")
-    a = p.alpha_f
-    out = 2.0 / (a + np.sqrt(a * a + 4.0 * p.beta * z))
+    out = _forchheimer(z, p)[0]
     return float(out) if np.isscalar(grad_norm) else out
 
 

@@ -58,8 +58,7 @@ def _gain_at_rest(c: BulkCondensation, line: TraceLine,
     """Darcy-limit trace response v = J0^-1 w to a unit q, J0 the line's
     tangent at rest (mobility 1/alpha), and the gain at rest
     G = dC/dQ = (w . v + m_I . u) / V^2 > 0."""
-    v = _pinned_solve(line.operator(c.S, np.full(len(line.ell), line.h / p.alpha_f)),
-                      line.weights)
+    v = _pinned_solve(line.operator(c.S, line.h / p.alpha_f), line.weights)
     return v, (float(line.weights @ v) + c.mIu) / line.volume ** 2
 
 

@@ -22,26 +22,23 @@ condensation over the union of its fracture nodes serves every cell.
 Every nonlinear solve is Newton's method on a strictly convex energy,
 globalized by backtracking on that energy (`_newton`), and converged only
 when its residual meets the tolerance or, stalled, its rounding floor.
-The Forchheimer flux s f(s) has the closed-form tangent
-t(s) = 1/sqrt(alpha^2 + 4 beta s) and the drag potential
-Phi(s) = int_0^s sigma f(sigma) dsigma (`_forchheimer`).
+The law (mobility f, tangent t, potential Phi) is `kernels._forchheimer`.
 
-`_solve_line` solves the 1-D Forchheimer line problem of a `TraceLine`
-at its aperture h: its tangent adds the line stiffness at coefficient
-h t(|z_x|) to a dense S, solved with position 0 pinned to zero.
-`solve_pss` runs it on the condensed trace, whose line has the mesh's
-aperture, and rebuilds the full nodal field with one solve with the
-bordered factor, and the set-point (`fracflow.setpoint`) is it with a
+Every mesh's fracture is the path of trace positions 0 (the well), 1,
+..., k, so a `TraceLine` is slices along it.  `_solve_line` solves its
+1-D Forchheimer line problem at its aperture h: the tangent adds the
+line stiffness at coefficient h t(|z_x|) to a dense S and is solved by
+Cholesky with position 0 pinned to zero.  `solve_pss` runs it on the
+condensed trace and rebuilds the full nodal field with one solve with
+the bordered factor; the set-point (`fracflow.setpoint`) is it with a
 rank-one term added to S.  The reduced slab is the line of a zero bulk,
 whose edge fluxes conservation fixes, so it is solved in closed form.
 
-The full slab keeps the sparse path on its free (unpinned) nodes, in the
-`_grid_order` of its grid, and is solved for its correction to the
-closed-form line of its own load, which is close to it because the slab
-is thin: Newton starts at that line, and no gradient is the difference
-of two nearly equal large fields.  The tangent's sparsity pattern is
-built once per solve, and each Newton step refills its values and solves
-it by `_solve_spd`, which raises SolverError on a result it cannot verify.
+The full slab (`solve_slab`) keeps the sparse path on its free nodes,
+in the `_grid_order` of its grid, solved for its correction to the
+closed-form line of its own load: each Newton step refills the tangent
+in a pattern built once per solve and solves it by `_solve_spd`, which
+raises SolverError on a result it cannot verify.
 Every sparse factorization, bulk or slab, is one recipe (`_ldlt`):
 SuperLU's pivot-free L D L^T of an SPD matrix in the order given.
 """
@@ -53,6 +50,7 @@ from functools import cache
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg.lapack import dposv
 # cg is not called here; it stays bound because the benchmark's
 # tracer (perfbench/tracer.py) wraps fracflow.solvers.cg by name
 from scipy.sparse.linalg import cg, splu
@@ -76,7 +74,7 @@ from .assembly import (
     triangle_gradients,
 )
 from .errors import AssemblyError, SolverError
-from .kernels import FlowParams, forchheimer_inverse_1d
+from .kernels import FlowParams, _forchheimer, forchheimer_inverse_1d
 from .meshing import Mesh
 
 __all__ = ["BulkCondensation", "SolveReport", "TraceLine", "condense_bulk",
@@ -138,26 +136,6 @@ def _solve_spd(A: sparse.spmatrix, b: np.ndarray) -> np.ndarray:
     return x * scale
 
 
-def _forchheimer(s, p: FlowParams):
-    """Mobility, tangent and drag potential at gradient norms s >= 0.
-
-    Returns f = fbeta_iso(s), the flux tangent t = d(s f)/ds =
-    1/sqrt(alpha^2 + 4 beta s) and Phi(s) = int_0^s sigma f(sigma) dsigma,
-    all from one square root u.  Phi is free of cancellation:
-    with delta = u - alpha = 4 beta s / (alpha + u),
-
-        Phi(s) = s^2 (2 alpha + 4 delta / 3) / (alpha + u)^2,
-
-    which is s^2 / (2 alpha) at beta = 0 and never divides by beta.
-    """
-    s = np.asarray(s, dtype=float)
-    a = p.alpha_f
-    u = np.sqrt(a * a + 4.0 * p.beta * s)
-    f = 2.0 / (a + u)
-    delta = 2.0 * p.beta * s * f
-    return f, 1.0 / u, (s * f) ** 2 * (a / 2.0 + delta / 3.0)
-
-
 def _gamma(n: int) -> float:
     """gamma_n = n u / (1 - n u), with u the unit roundoff: the relative
     rounding bound of a sum or dot product of n terms (Higham, Accuracy
@@ -194,13 +172,11 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
     the same line search and stop tests, so the report's iterations count
     the direction solves.  Where z is the field itself, the first step is
     the Darcy-limit solve (the tangent at zero gradient is the mobility
-    1/alpha): exact when beta = 0, where it ends the solve, and short of
-    the solution's gradients otherwise (f <= 1/alpha), from where Newton
-    on the concave flux s f(s) does not overshoot, in one dimension.  A
-    start beyond them (such as a linear solve at a mobility far below
-    1/alpha) can make full steps flip the gradient's sign for many steps.
-    Where z is a correction to an approximate solution origin (the full
-    slab's to the line of its load), z = 0 is that approximation.
+    1/alpha): exact when beta = 0, and otherwise short of the solution's
+    gradients (f <= 1/alpha), from where Newton on the concave flux s f(s)
+    does not overshoot in one dimension, as full steps from beyond them
+    can.  Where z is a correction to an approximate solution origin (the
+    full slab's to the line of its load), z = 0 is that approximation.
 
     A step's length halves from 1 until E falls by at least 1e-4 of the
     first-order prediction, or until both the predicted and the actual
@@ -266,15 +242,23 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
                       f"(last residual {history[-1][1]:g})", history)
 
 
+def _path_sum(left: np.ndarray, right: np.ndarray, n: int) -> np.ndarray:
+    """(n,) sums over the path's edges (e, e + 1) of left[e] at e, then right[e] at e + 1."""
+    out = np.zeros(n)
+    k = len(left)
+    out[:k] += left
+    out[1:k + 1] += right
+    return out
+
+
 @dataclass(frozen=True)
 class TraceLine:
-    """The fracture line of one mesh, on its condensed trace.
+    """The fracture line of one mesh, on its condensed trace: the path of
+    trace positions 0 (the well), 1, ..., k, whose edge e is (e, e + 1).
 
     h: the aperture, the mesh's; it weights the line's mobility and its
         load, and a line is solved at the h it was built with.
-    edges: (k, 2) fracture edges as positions in the trace (none when
-        h = 0).
-    ell: (k,) edge lengths.
+    ell: (k,) edge lengths (k = 0 when h = 0).
     weights: (nG,) r + h * fracture load.  A state at rate Q has the
         condensed load (Q / volume) * weights, and its drawdown is
         (weights . z_G + (Q / volume) * m_I . u) / volume.
@@ -283,7 +267,6 @@ class TraceLine:
     """
 
     h: float
-    edges: np.ndarray
     ell: np.ndarray
     weights: np.ndarray
     load: np.ndarray
@@ -291,35 +274,37 @@ class TraceLine:
 
     def gradients(self, z: np.ndarray) -> np.ndarray:
         """Tangential derivative of the trace state z on every edge."""
-        return (z[self.edges[:, 1]] - z[self.edges[:, 0]]) / self.ell
+        return np.diff(z[:len(self.ell) + 1]) / self.ell
 
     def flux(self, coef: np.ndarray) -> np.ndarray:
         """Nodal line term of per-edge flux coef (mobility times gradient)."""
-        out = np.zeros(len(self.weights))
-        np.add.at(out, self.edges[:, 0], -coef)
-        np.add.at(out, self.edges[:, 1], coef)
-        return out
+        return _path_sum(-coef, coef, len(self.weights))
 
-    def operator(self, S: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """S plus the line stiffness (coef_e / ell_e) [[1, -1], [-1, 1]]."""
+    def operator(self, S: np.ndarray, coef) -> np.ndarray:
+        """S plus the line stiffness (coef_e / ell_e) [[1, -1], [-1, 1]]
+        (coef per edge, or one for every edge)."""
         M = S.copy()
-        k = np.asarray(coef, dtype=float) / self.ell
-        i, j = self.edges[:, 0], self.edges[:, 1]
-        np.add.at(M, (i, i), k)
-        np.add.at(M, (j, j), k)
-        np.add.at(M, (i, j), -k)
-        np.add.at(M, (j, i), -k)
+        n, k = len(M), len(self.ell)
+        c = coef / self.ell
+        # the diagonal, superdiagonal and subdiagonal as strided views
+        diag, upper, lower = (M.reshape(-1)[o::n + 1] for o in (0, 1, n))
+        diag[:k] += c
+        diag[1:k + 1] += c
+        upper[:k] -= c
+        lower[:k] -= c
         return M
 
 
 def _pinned_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Dense solve of M z = rhs with position 0 pinned to zero."""
+    """Cholesky solve of M z = rhs with position 0 pinned to zero; the free
+    block, a strictly convex energy's tangent, must be SPD (SolverError)."""
     z = np.zeros(len(rhs))
-    try:
-        z[1:] = np.linalg.solve(M[1:, 1:], rhs[1:])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"line system is singular: {exc}",
-                          [("dense", str(exc))]) from exc
+    if len(rhs) == 1:  # the well alone
+        return z
+    _, z[1:], info = dposv(M[1:, 1:], rhs[1:])
+    if info != 0:
+        raise SolverError(f"line system is not positive definite (LAPACK "
+                          f"dposv info {info})", [("dense", info)])
     return z
 
 
@@ -327,20 +312,18 @@ def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
                 b: np.ndarray, norm_b: float, tol: float, max_iter: int,
                 on_step=None) -> tuple[np.ndarray, SolveReport]:
     """Newton solve of the line problem S z + (line flux at mobility
-    h * fbeta_iso(|z_x|)) = b, with h = line.h and position 0 pinned to
-    zero: the minimizer of
+    h f(|z_x|)) = b, h = line.h, position 0 pinned to zero: the minimizer of
 
         E(z) = 1/2 z.S z + h sum_e ell_e Phi(|z_x|) - b.z,
 
     whose tangent is line.operator(S, h * t(|z_x|)).  norm_b scales the
     residual; on_step goes to `_newton`.  The rounding of E and grad E is
-    bounded from |S| |z|, |flux| and |b|, by gamma_2n, since z.Sz nests
-    two sums of n terms; grad E's bound adds the rounding of z itself,
-    carried into each edge's flux by the tangent.
+    bounded from |S| |z|, |flux| and |b| by gamma_2n (z.Sz nests two sums
+    of n terms); grad E's bound adds z's own rounding, carried into each
+    edge's flux by the tangent.
     """
     norm_b = max(norm_b, 1e-300)
-    h = line.h
-    n = len(b)
+    h, n, k = line.h, len(b), len(line.ell)
     gamma = _gamma(2 * n)
 
     def linearize(z):
@@ -356,13 +339,12 @@ def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
             Sz_abs = np.abs(S) @ np.abs(z)
             terms = (0.5 * float(np.abs(z) @ Sz_abs) + h * float(line.ell @ phi)
                      + float(np.abs(b) @ np.abs(z)))
-            # z itself is rounded, by up to eps (|z_i| + |z_j|) / ell_e in
+            # z itself is rounded, by up to eps (|z_e| + |z_e+1|) / ell_e in
             # each edge gradient, which the tangent h t carries into the flux
-            z_abs = np.abs(z[line.edges])
-            gx_err = np.finfo(float).eps * (z_abs[:, 0] + z_abs[:, 1]) / line.ell
-            magnitude = gamma * (Sz_abs + np.abs(b)) + np.bincount(
-                line.edges.ravel(), minlength=n,
-                weights=np.repeat(gamma * np.abs(coef) + h * t * gx_err, 2))
+            z_abs = np.abs(z[:k + 1])
+            gx_err = np.finfo(float).eps * (z_abs[:-1] + z_abs[1:]) / line.ell
+            edge = gamma * np.abs(coef) + h * t * gx_err
+            magnitude = gamma * (Sz_abs + np.abs(b)) + _path_sum(edge, edge, n)
             magnitude[0] = 0.0
             return gamma * terms, float(np.linalg.norm(magnitude)) / norm_b
 
@@ -421,8 +403,8 @@ class BulkCondensation:
     """Darcy bulk of one node set eliminated onto its trace nodes.
 
     trace[0] is the well node, pinned to zero; the other trace nodes are
-    the fracture nodes of the meshes it was built for.  Build it with
-    `condense_bulk`.
+    the fracture nodes of the meshes it was built for, in order along the
+    fracture.  Build it with `condense_bulk`.
     """
 
     mesh: Mesh
@@ -439,20 +421,23 @@ class BulkCondensation:
     area: float             # |bulk|
 
     def line(self, m: Mesh, k_p: float) -> TraceLine:
-        """The fracture line of mesh m, at its aperture, on this trace."""
+        """The fracture line of mesh m, at its aperture, on this trace; m's
+        fracture edges must be the trace positions (e, e + 1) from the well,
+        the path every mesh builder makes (ValueError otherwise)."""
         h = m.aperture
         if k_p != self.k_p:
             raise ValueError(f"condensation was built for k_p={self.k_p}, not {k_p}")
         if not _same_node_set(self.mesh, m):
             raise ValueError("mesh does not share the condensed node set")
         edges = m.fracture_edges if h != 0.0 else np.empty((0, 2), dtype=int)
-        local = self.position[edges]
-        if np.any(local < 0):
-            raise ValueError("mesh has fracture nodes outside the condensed trace")
+        if not np.array_equal(self.position[edges],
+                              np.arange(len(edges))[:, None] + [0, 1]):
+            raise ValueError("mesh's fracture is not the path from the well: "
+                             "nodes outside the condensed trace or out of order")
         ell = _edge_geometry(m, edges)
-        frac = np.zeros(len(self.trace))
-        np.add.at(frac, local.ravel(), np.repeat(h * ell / 2.0, 2))
-        return TraceLine(h, local, ell, self.r + frac, self.load_G + frac,
+        half = h * ell / 2.0
+        frac = _path_sum(half, half, len(self.trace))
+        return TraceLine(h, ell, self.r + frac, self.load_G + frac,
                          self.area + h * float(ell.sum()))
 
     def output(self, line: TraceLine, z: np.ndarray, q: float) -> float:
@@ -480,7 +465,8 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
 
     `meshes` is a Mesh or a family of meshes sharing one node set (as from
     build_reservoir_mesh_family); the trace is the well plus the union of
-    their fracture nodes, so the result serves every mesh of the family.
+    their fracture nodes in node order, which every mesh builder numbers
+    outward from the well, so the result serves every mesh of the family.
 
     The interior is put in the fill-reducing `_grid_order` of the mesh's
     grid, which with the trace must hold every node exactly once

@@ -372,6 +372,62 @@ def test_condensation_rejects_foreign_mesh_and_mobility(meshes):
                   condensation=condense_bulk(short, 1.0))
 
 
+def test_line_rejects_a_fracture_that_is_not_the_path_from_the_well(meshes):
+    m = meshes["rectangle"]
+    c = condense_bulk(m, 1.0)
+    c.line(m, 1.0)
+    # its nodes all lie on the trace, but the path does not start at the
+    # well, or runs backwards
+    for edges in (m.fracture_edges[1:], m.fracture_edges[:, ::-1],
+                  m.fracture_edges[::-1]):
+        with pytest.raises(ValueError, match="not the path from the well"):
+            c.line(m.with_fracture_edges(edges), 1.0)
+
+
+def scatter_line(c, m, S, z, coef):
+    """Line load, gradients, flux and operator of mesh m on condensation c
+    by an np.add.at scatter over its fracture edges as trace positions."""
+    edges = c.position[m.fracture_edges]
+    i, j = edges[:, 0], edges[:, 1]
+    ell = np.linalg.norm(m.nodes[m.fracture_edges[:, 1]]
+                         - m.nodes[m.fracture_edges[:, 0]], axis=1)
+    frac = np.zeros(len(c.trace))
+    np.add.at(frac, edges.ravel(), np.repeat(m.aperture * ell / 2.0, 2))
+    flux = np.zeros(len(c.trace))
+    np.add.at(flux, i, -coef)
+    np.add.at(flux, j, coef)
+    M = S.copy()
+    k = coef / ell
+    np.add.at(M, (i, i), k)
+    np.add.at(M, (j, j), k)
+    np.add.at(M, (i, j), -k)
+    np.add.at(M, (j, i), -k)
+    return c.r + frac, (z[j] - z[i]) / ell, flux, M
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "disk"])
+def test_trace_line_slices_match_an_edge_scatter(shape):
+    # every line of a family, the unfractured one included, on the
+    # family's shared trace
+    family = build_reservoir_mesh_family(SPECS[shape], [2.0, 4.0, 8.0])
+    family.append(family[0].with_fracture_edges(np.empty((0, 2), dtype=int)))
+    c = condense_bulk(family, 1.0)
+    n = len(c.trace)
+    rng = np.random.default_rng(7)
+    for m in family:
+        line = c.line(m, 1.0)
+        k = len(m.fracture_edges)
+        assert len(line.ell) == k
+        S = rng.standard_normal((n, n))
+        z = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3, n)
+        coef = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, k)
+        weights, gradients, flux, M = scatter_line(c, m, S + S.T, z, coef)
+        assert np.array_equal(line.weights, weights)
+        assert np.array_equal(line.gradients(z), gradients)
+        assert np.array_equal(line.flux(coef), flux)
+        assert np.array_equal(line.operator(S + S.T, coef), M)
+
+
 @pytest.fixture
 def factorizations(monkeypatch):
     calls = []

@@ -11,6 +11,7 @@ from fracflow import (
     indicator_H,
     monotonicity_gap,
 )
+from fracflow.kernels import _forchheimer
 
 
 def test_flowparams_defaults_linearize_at_zero_gradient():
@@ -19,6 +20,19 @@ def test_flowparams_defaults_linearize_at_zero_gradient():
     p = FlowParams(alpha_f=4.0, beta=2.0)
     assert fbeta_iso(0.0, p) == 0.25
     assert [f.name for f in fields(FlowParams)] == ["alpha_f", "beta", "k_p"]
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.05, 0.0), (0.05, 1e-2), (1.0, 1.0),
+                                        (2.0, 1e6)])
+def test_fbeta_iso_is_the_kernel_mobility_bit_for_bit(alpha, beta):
+    p = FlowParams(alpha_f=alpha, beta=beta)
+    rng = np.random.default_rng(3)
+    z = np.concatenate([[0.0], rng.uniform(0.0, 1e3, 100),
+                        10.0 ** rng.uniform(-12.0, 12.0, 100)])
+    f = _forchheimer(z, p)[0]
+    assert np.array_equal(fbeta_iso(z, p), f)
+    assert all(fbeta_iso(float(v), p) == f[i] for i, v in enumerate(z))
+    assert np.array_equal(f, 2.0 / (alpha + np.sqrt(alpha * alpha + 4.0 * beta * z)))
 
 
 @pytest.mark.parametrize("kwargs", [

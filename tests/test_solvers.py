@@ -35,6 +35,7 @@ from fracflow.solvers import (
     _grid_order,
     _Linearization,
     _newton,
+    _pinned_solve,
     _slab_constitutive,
     _solve_line,
     _solve_spd,
@@ -288,8 +289,7 @@ class TestNewton:
         dx = np.diff(xs)
         wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
         b = wx * (1.0 - 2.0 * 1e5 * (1.0 - xs) / 0.05)
-        edges = np.column_stack([np.arange(32), np.arange(1, 33)])
-        line = TraceLine(1.0, edges, dx, wx, wx, 1.0)
+        line = TraceLine(1.0, dx, wx, wx, 1.0)
         z, rep = _solve_line(np.zeros((33, 33)), line, p, b,
                              float(np.linalg.norm(b)), 1e-10, 100)
         assert rep.converged and rep.final_residual > 1e-10
@@ -330,6 +330,23 @@ class TestNewton:
         with pytest.raises(SolverError, match="finite") as err:
             solve_pss(rect_mesh, FlowParams(alpha_f=0.05, beta=0.1), 1000.0)
         assert len(err.value.history) == 2
+
+
+class TestPinnedSolve:
+    def test_indefinite_block_raises(self):
+        # the free block [[1, 2], [2, 1]] has eigenvalues 3 and -1; an LU
+        # solve would return its solution
+        M = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+        with pytest.raises(SolverError, match="not positive definite") as err:
+            _pinned_solve(M, np.array([0.0, 1.0, 1.0]))
+        assert err.value.history == [("dense", 2)]
+
+    def test_indefinite_line_raises_in_its_first_step(self):
+        line = TraceLine(1.0, np.ones(2), np.ones(3), np.ones(3), 1.0)
+        with pytest.raises(SolverError, match="Newton step 1") as err:
+            _solve_line(-10.0 * np.eye(3), line, FlowParams(), np.ones(3),
+                        1.0, 1e-9, 10)
+        assert err.value.history == [("dense", 1)]
 
 
 class TestSolveSpd:
