@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
@@ -479,9 +479,15 @@ class TestSolvePss:
 
 def exact_reduced_line(m, p, q, q_over_v):
     """The reduced slab's solution on its x nodes (edge flux v_e = sum_{j>e}
-    b_j), evaluated in long double, and the scale of the float64 rounding
-    of the closed form at each node: the load's and its suffix sums',
-    carried through the Forchheimer law, and the sum of the gradients'."""
+    b_j), evaluated in long double, the scale of the float64 rounding of the
+    closed form at each node (the load's and its suffix sums', carried
+    through the Forchheimer law, and the sum of the gradients'), and the
+    floor of its underflow.  Below the normal range a product or quotient
+    rounds by up to half the smallest subnormal, `tiny`, whatever its size;
+    sums round exactly there.  The load rounds the two evaluations of q,
+    the division by h and the product with wx; the law alpha v,
+    beta |v| (which v scales) and the product with v; the line each
+    gradient's product with dx."""
     xs = np.unique(m.nodes[:, 0]).astype(np.longdouble)
     dx = np.diff(xs)
     wx = np.zeros(len(xs), dtype=np.longdouble)
@@ -494,7 +500,12 @@ def exact_reduced_line(m, p, q, q_over_v):
     z = np.concatenate([[0], np.cumsum(g * dx)])
     slack = np.concatenate([[0], np.cumsum(
         ((p.alpha_f + 2 * p.beta * np.abs(v)) * size + np.abs(g)) * dx)])
-    return z, slack
+    tiny = np.longdouble(np.finfo(float).smallest_subnormal) / 2
+    b_floor = tiny * (wx * (2 / np.longdouble(m.aperture) + 1) + 1)
+    v_floor = np.cumsum(b_floor[:0:-1])[::-1]
+    g_floor = (p.alpha_f + 2 * p.beta * np.abs(v)) * v_floor + tiny * (2 + np.abs(v))
+    floor = np.concatenate([[0], np.cumsum(g_floor * dx + tiny)])
+    return z, slack, floor
 
 
 def column_line(m, p, rhs):
@@ -741,6 +752,9 @@ class TestSolveSlab:
            beta=st.one_of(st.just(0.0), st.floats(1e-3, 1e4)),
            q0=st.floats(-1e6, 1e6), q_over_v=st.floats(-1e6, 1e6),
            nx=st.sampled_from([2, 8, 32, 128]))
+    # a subnormal load: W's nodes round to the subnormal grid
+    @example(flavor="isotropic", h=1.0, beta=0.0, q0=2.2250738585e-313,
+             q_over_v=0.0, nx=2)
     def test_reduced_solution_is_the_exact_line(self, flavor, h, beta, q0,
                                                 q_over_v, nx):
         m = build_fracture_slab_mesh(1.0, h, nx, 4)
@@ -750,8 +764,8 @@ class TestSolveSlab:
         assert rep.iterations == 0 and rep.converged
         # the line equations' rounding at n nodes: 2 u n of the load
         assert rep.final_residual <= 1e-13
-        z, slack = exact_reduced_line(m, p, q, q_over_v)
-        assert np.all(np.abs(W.values[m.grid[0]] - z) <= 1e-13 * slack)
+        z, slack, floor = exact_reduced_line(m, p, q, q_over_v)
+        assert np.all(np.abs(W.values[m.grid[0]] - z) <= 1e-13 * slack + floor)
 
     def test_strong_drag_reduced_slab_returns(self):
         # at |W| ~ 8e11 the rounding of W alone leaves a nodal residual of
@@ -762,8 +776,8 @@ class TestSolveSlab:
         W, rep = solve_slab(m, p, "isotropic", q, q, 1.0, tol=1e-10, reduced=True)
         assert rep.iterations == 0 and rep.converged
         assert rep.final_residual <= 1e-14
-        z, slack = exact_reduced_line(m, p, q, 1.0)
-        assert np.all(np.abs(W.values[m.grid[0]] - z) <= 1e-13 * slack)
+        z, slack, floor = exact_reduced_line(m, p, q, 1.0)
+        assert np.all(np.abs(W.values[m.grid[0]] - z) <= 1e-13 * slack + floor)
         assert np.abs(z).max() > 1e11
 
     @pytest.mark.parametrize("q0", [1e200, 1e307], ids=["gradient", "flux"])
