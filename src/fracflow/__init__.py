@@ -42,11 +42,9 @@ from .kernels import (
 from .meshing import (
     DomainSpec,
     Mesh,
-    MeshQualityReport,
     build_fracture_slab_mesh,
     build_reservoir_mesh,
     build_reservoir_mesh_family,
-    mesh_quality_report,
 )
 from .reduction import (
     ReductionReport,

@@ -14,8 +14,10 @@ Two generators:
 Meshes are immutable once built.  Every mesh is a tensor grid (the disk a
 polar one, of rings by sectors) and records its node ids as a grid, from
 which the bulk condensation reads a fill-reducing order of the nodes.
-A mesh owns its geometry, computed once per node set.  The builders reject
-misoriented triangles and the fractures `DomainSpec.check_fracture` rejects.
+A mesh caches its triangle areas, computed once per node set; the P1
+basis gradients are computed where they are used
+(`fracflow.assembly.basis_gradients`).  The builders reject misoriented
+triangles and the fractures `DomainSpec.check_fracture` rejects.
 """
 
 from __future__ import annotations
@@ -30,11 +32,9 @@ from .errors import GeometryError
 __all__ = [
     "DomainSpec",
     "Mesh",
-    "MeshQualityReport",
     "build_reservoir_mesh",
     "build_reservoir_mesh_family",
     "build_fracture_slab_mesh",
-    "mesh_quality_report",
 ]
 
 # boundary_edges tags
@@ -132,10 +132,10 @@ class Mesh:
         and columns; a disk's rows are its rings and its columns its
         sectors, which wrap around, the fracture ray last, and its hub
         (the well) is off the grid.  Empty if built without one.
-    area, basis: (m,) signed triangle areas and (m, 3, 2) P1 basis
-        gradients, read-only, computed once per node set on first use
-        (GeometryError on a non-positive area) and shared by its
-        `with_fracture_edges` copies; a `dataclasses.replace` copy has its own.
+    area: (m,) signed triangle areas, read-only, computed once per node
+        set on first use and shared by its `with_fracture_edges` copies; a
+        `dataclasses.replace` copy has its own.  The mesh keeps no other
+        per-triangle array.
     """
 
     nodes: np.ndarray
@@ -163,19 +163,6 @@ class Mesh:
         area.flags.writeable = False  # shared by every reader of the mesh
         return area
 
-    @cached_property
-    def basis(self) -> np.ndarray:
-        two_area = 2.0 * _oriented(self).area
-        p = self.nodes[self.triangles]
-        # grad of the barycentric function at vertex i is the rotated opposite edge
-        grads = np.empty((len(p), 3, 2))
-        for i in range(3):
-            a, b = p[:, (i + 1) % 3], p[:, (i + 2) % 3]
-            grads[:, i, 0] = (a[:, 1] - b[:, 1]) / two_area
-            grads[:, i, 1] = (b[:, 0] - a[:, 0]) / two_area
-        grads.flags.writeable = False
-        return grads
-
     def with_fracture_edges(self, fracture_edges: np.ndarray) -> "Mesh":
         """Same nodes and triangles, different fracture tagging.
 
@@ -185,17 +172,8 @@ class Mesh:
         """
         copy = replace(self, fracture_edges=np.asarray(
             fracture_edges, dtype=int).reshape(-1, 2))
-        vars(copy).update(area=self.area, basis=self.basis)
+        vars(copy)["area"] = self.area
         return copy
-
-
-@dataclass(frozen=True)
-class MeshQualityReport:
-    min_angle_deg: float
-    max_angle_deg: float
-    min_area: float
-    max_edge_ratio: float
-    valid: bool
 
 
 def _graded_sizes(span: float, first: float, ratio: float) -> np.ndarray:
@@ -395,26 +373,3 @@ def _oriented(m: Mesh) -> Mesh:
     if np.any(m.area <= 0):
         raise GeometryError("mesh contains non-positively-oriented triangles")
     return m
-
-
-def mesh_quality_report(m: Mesh) -> MeshQualityReport:
-    """Angle, area and edge-ratio statistics; valid iff all areas are
-    positive and the minimum angle is at least one degree."""
-    p = m.nodes[m.triangles]
-    e0 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-    e1 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-    e2 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    edges = np.stack([e0, e1, e2], axis=1)
-    angles = np.empty_like(edges)
-    for i in range(3):
-        a = edges[:, i]
-        b = edges[:, (i + 1) % 3]
-        c = edges[:, (i + 2) % 3]
-        cosv = np.clip((b * b + c * c - a * a) / (2.0 * b * c), -1.0, 1.0)
-        angles[:, i] = np.degrees(np.arccos(cosv))
-    min_angle = float(angles.min())
-    max_angle = float(angles.max())
-    min_area = float(m.area.min())
-    ratio = float((edges.max(axis=1) / edges.min(axis=1)).max())
-    valid = bool(min_area > 0 and min_angle >= 1.0)
-    return MeshQualityReport(min_angle, max_angle, min_area, ratio, valid)

@@ -37,10 +37,13 @@ whose edge fluxes conservation fixes, so it is solved in closed form.
 The full slab (`solve_slab`) keeps the sparse path on its free nodes,
 in the `_grid_order` of its grid, solved for its correction to the
 closed-form line of its own load: each Newton step refills the tangent
-in a pattern built once per solve and solves it by `_solve_spd`, which
-raises SolverError on a result it cannot verify.
+in a pattern built once per solve, from the basis gradients computed once
+per solve, and solves it by `_solve_spd`, which raises SolverError on a
+result it cannot verify.
 Every sparse factorization, bulk or slab, is one recipe (`_ldlt`):
-SuperLU's pivot-free L D L^T of an SPD matrix in the order given.
+SuperLU's pivot-free L D L^T of an SPD matrix in the order given; a
+factor that comes back reordered raises SolverError naming the first
+row SuperLU moved.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .assembly import (
     # (perfbench/tests/test_tracer.py) reads fracflow.solvers.apply_constraints
     apply_constraints,
     assemble_B_in,
+    basis_gradients,
     dirichlet_nodes,
     fracture_edge_gradients,
     slab_rhs,
@@ -96,10 +100,13 @@ def _ldlt(A: sparse.spmatrix, what: str):
     """L D L^T factor of the SPD matrix A in its given (fill-reducing)
     order: SuperLU's L U with no reordering (`NATURAL`) and no pivoting,
     U = D L^T, which is backward stable for SPD A.  A singular factor, or
-    one that came back reordered, raises SolverError naming `what`.
+    one that came back reordered, raises SolverError naming `what`; for a
+    reordered one it names the first row SuperLU moved, with A's diagonal
+    and largest entry in that column and the pivot U_kk the factor used.
     """
+    A = A.tocsc()
     try:
-        lu = splu(A.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError as exc:  # singular factorization
         raise SolverError(f"{what} is singular: {exc}",
@@ -107,8 +114,17 @@ def _ldlt(A: sparse.spmatrix, what: str):
     identity = np.arange(A.shape[0])
     if not (np.array_equal(lu.perm_r, identity)
             and np.array_equal(lu.perm_c, identity)):
-        raise SolverError(f"{what} factorization reordered its rows or columns",
-                          [("direct", "perm_r or perm_c is not the identity")])
+        k = int(np.argmax((lu.perm_r != identity) | (lu.perm_c != identity)))
+        column = A[:, [k]].toarray().ravel()
+        # read only here: the getter builds (and caches) copies of L and U
+        pivot = {"row": k, "diagonal": float(column[k]),
+                 "column_max": float(np.abs(column).max()),
+                 "pivot": float(lu.U.diagonal()[k])}
+        raise SolverError(
+            f"{what} factorization reordered its rows or columns, first row "
+            f"{k} of {len(identity)} (diagonal {pivot['diagonal']:g}, largest "
+            f"in its column {pivot['column_max']:g}, pivot {pivot['pivot']:g})",
+            [("direct", "perm_r or perm_c is not the identity"), ("pivot", pivot)])
     return lu
 
 
@@ -491,6 +507,9 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
         raise ValueError("mesh grid does not hold every interior node exactly once")
     interior = _grid_order(m.grid, position < 0)
     order = np.concatenate([interior, trace[1:]])
+    # the load before the factor, so that its temporaries are not resident
+    # with it (1.3 MB of the solve_fine peak)
+    load = _bulk_load(m)
     # assembled in this order, and unnamed, so that it is freed before lu.U;
     # S is the trailing block only of a factor that kept this order
     lu = _ldlt(_bulk_stiffness(m, k_p, order), "bulk operator off the well")
@@ -504,7 +523,6 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
     S[1:, 1:] = np.triu(S_GG) + np.triu(S_GG, 1).T
     S.flags.writeable = False
 
-    load = _bulk_load(m)
     w = lu.solve(load[order])
     w_G = np.concatenate([[0.0], w[nI:]])
     r = S @ w_G
@@ -626,7 +644,8 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     norm_rhs = max(float(np.linalg.norm(rhs)), 1e-300)
     w_bar = _slab_line(m, p, xs, column, np.bincount(column, rhs) / m.aperture)[0].values
     w_bar_f = w_bar[free]
-    g_bar = triangle_gradients(m, w_bar)
+    basis = basis_gradients(m)  # once per solve, for every step
+    g_bar = triangle_gradients(m, w_bar, basis)
     # E sums a term per triangle and per free node; a row of grad E sums
     # the load and its triangles' terms, each a 2-term dot times an area
     gamma_energy = _gamma(m.num_triangles + len(free))
@@ -638,9 +657,9 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
         return d
 
     def linearize(d_f):
-        g = g_bar + triangle_gradients(m, field(d_f))
+        g = g_bar + triangle_gradients(m, field(d_f), basis)
         flux, tangent, psi = _slab_constitutive(g, p, flavor)
-        element = np.einsum("tid,td->ti", m.basis, flux) * m.area[:, None]
+        element = np.einsum("tid,td->ti", basis, flux) * m.area[:, None]
         grad = np.bincount(m.triangles.ravel(), weights=element.ravel(),
                            minlength=m.num_nodes)[free] - rhs_f
         w_f = w_bar_f + d_f
@@ -652,7 +671,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
             # g(delta)'s products, u sum_i |grad phi_i| |delta_i|, is left out:
             # a bound of it would accept the strong-contrast stalls)
             flux_err = np.einsum("tde,te->td", np.abs(tangent), np.abs(g))
-            bound = np.abs(element) + np.einsum("tid,td->ti", np.abs(m.basis),
+            bound = np.abs(element) + np.einsum("tid,td->ti", np.abs(basis),
                                                 flux_err) * m.area[:, None]
             magnitude = np.bincount(m.triangles.ravel(), weights=bound.ravel(),
                                     minlength=m.num_nodes)[free] + np.abs(rhs_f)
@@ -662,7 +681,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
 
         return _Linearization(
             energy, grad, float(np.linalg.norm(grad)) / norm_rhs,
-            lambda v: _solve_spd(tangent_matrix(_local_stiffness(m, tangent)), v),
+            lambda v: _solve_spd(tangent_matrix(_local_stiffness(m, tangent, basis)), v),
             rounding)
 
     d_f, report = _newton(linearize, len(free), tol, max_iter, origin=w_bar_f)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -108,6 +109,21 @@ def test_validate_thin_anisotropic_slab(tmp_path, aperture, code):
     assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == code
     text = (tmp_path / "out" / "reduction.csv").read_text()
     assert text.count("anisotropic") == 1
+
+
+def test_validate_names_the_row_a_reordered_factor_moved(tmp_path, capsys):
+    # the anisotropic slab at h = 3e-5 and q0 = 1e5 fails in its first
+    # factorization, which SuperLU reorders; the error says where
+    cfg = write_cfg(tmp_path, {
+        "command": "validate",
+        "domain": dict(DOMAIN, fracture_length=1.0, resolution=0.03125),
+        "params": {"alpha_f": 1.0, "beta": 1.0},
+        "validate": {"flavor": "anisotropic", "apertures": [3e-5],
+                     "q0": 1e5}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"reordered its rows or columns, first row \d+ of 288 "
+                     r"\(diagonal \S+, largest in its column \S+, pivot \S+\)", err)
 
 
 def test_validate_isotropic_gate_fails_in_deep_drag_regime(tmp_path):

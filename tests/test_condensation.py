@@ -6,7 +6,7 @@ rectangles and disks, with the fracture tip inside or on the outer
 boundary, at zero aperture and at zero rate.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,9 +16,11 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 import fracflow.solvers
+import fracflow.sweep
 from fracflow import (
     DomainSpec,
     FlowParams,
+    Mesh,
     SolverError,
     baseline_pdd,
     build_fracture_slab_mesh,
@@ -283,6 +285,29 @@ def test_pivoted_bordered_factor_rejected(meshes, monkeypatch):
     with pytest.raises(SolverError, match="reordered its rows or columns"):
         solve_slab(build_fracture_slab_mesh(1.0, 0.1, 16, 4),
                    FlowParams(alpha_f=ALPHA, beta=1.0), "anisotropic", q, q, 0.0)
+
+
+def test_no_mesh_keeps_basis_gradients(monkeypatch):
+    # a condensation factorizes the bulk without them, and no mesh of a
+    # run caches anything per triangle but its areas
+    made = []
+    family = fracflow.sweep.build_reservoir_mesh_family
+
+    def recording(*args, **kwargs):
+        meshes = family(*args, **kwargs)
+        made.extend(meshes)
+        return meshes
+
+    monkeypatch.setattr(fracflow.sweep, "build_reservoir_mesh_family", recording)
+    spec = TestFactorizationCounts.SPEC
+    run_sweep(spec, [4.0, 8.0, 12.0], [1e-5, 1e-1], 1000.0, FlowParams(alpha_f=ALPHA))
+    m = build_reservoir_mesh(SPECS["disk"])
+    condense_bulk(m, 1.0)
+    solve_pss(m, FlowParams(alpha_f=ALPHA, beta=1e-1), 1000.0)
+    made.append(m)
+    cached = {f.name for f in fields(Mesh)} | {"area"}
+    assert len(made) == 4
+    assert all(set(vars(o)) == cached for o in made)
 
 
 def test_fracture_tip_on_outer_boundary(meshes):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 from functools import cached_property
 
 import numpy as np
@@ -11,8 +12,8 @@ from fracflow import (
     build_fracture_slab_mesh,
     build_reservoir_mesh,
     build_reservoir_mesh_family,
-    mesh_quality_report,
 )
+from fracflow.assembly import basis_gradients
 
 
 def rect_spec(**kw):
@@ -151,29 +152,19 @@ class TestSlab:
 
 
 class TestQuality:
-    def test_square_cells_give_45_degrees(self):
-        m = build_fracture_slab_mesh(1.0, 1.0, 4, 4)
-        rep = mesh_quality_report(m)
-        assert rep.min_angle_deg == pytest.approx(45.0, abs=1e-9)
-        assert rep.valid
-
     def test_all_builders_produce_valid_meshes(self):
         for m in (build_reservoir_mesh(rect_spec(width=20.0, height=10.0,
                                                  fracture_length=4.0, grading=1.3)),
                   build_fracture_slab_mesh(1.0, 0.05, 16, 8)):
-            rep = mesh_quality_report(m)
-            assert rep.valid and rep.min_area > 0
-
-    def test_flipped_triangle_flagged(self):
-        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        tris = np.array([[0, 2, 1]])  # clockwise
-        m = Mesh(nodes, tris, np.empty((0, 2), dtype=int), 0, {}, 0.0)
-        assert not mesh_quality_report(m).valid
-
-    def test_aspect_ratio_flags_stretched_cells(self):
-        square = mesh_quality_report(build_fracture_slab_mesh(1.0, 1.0, 4, 4))
-        stretched = mesh_quality_report(build_fracture_slab_mesh(1.0, 0.1, 4, 4))
-        assert stretched.max_edge_ratio > 2 * square.max_edge_ratio
+            assert m.area.min() > 0
+            # a tensor grid's cell has the spacings of its two pairs of
+            # adjacent lines, and its triangles' angles follow from their
+            # ratio: at least 1 degree where it is at least tan(1 deg)
+            dx = np.diff(m.nodes[m.grid[0], 0])
+            dy = np.diff(m.nodes[m.grid[:, 0], 1])
+            assert dx.min() > 0 and dy.min() > 0
+            ratio = min(dx.min() / dy.max(), dy.min() / dx.max())
+            assert ratio >= np.tan(np.radians(1.0))
 
 
 class TestMeshFamily:
@@ -348,7 +339,7 @@ def test_grid_holds_every_node_next_to_its_neighbors(kind):
 
 
 # the expressions the orientation check and the assembly geometry used
-# before the mesh owned its geometry
+# before the geometry had one home
 def reference_areas(nodes, triangles):
     p = nodes[triangles]
     return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
@@ -381,36 +372,40 @@ class TestGeometry:
     def test_area_and_basis_are_the_reference_formulas(self, kind):
         m = GEOMETRY_MESHES[kind]()
         assert np.array_equal(m.area, reference_areas(m.nodes, m.triangles))
-        assert np.array_equal(m.basis, reference_basis(m.nodes, m.triangles))
-        assert m.basis.shape == (m.num_triangles, 3, 2)
+        grads = basis_gradients(m)
+        assert grads.shape == (m.num_triangles, 3, 2)
+        assert np.array_equal(grads, reference_basis(m.nodes, m.triangles))
 
     def test_computed_once_per_mesh(self):
-        m = GEOMETRY_MESHES["rectangle"]()
-        assert m.area is m.area and m.basis is m.basis
-        # a copy with other fracture edges shares the node set's geometry
-        other = m.with_fracture_edges(m.fracture_edges[:1])
-        assert other.area is m.area and other.basis is m.basis
+        for make in GEOMETRY_MESHES.values():
+            m = make()
+            assert m.area is m.area and not m.area.flags.writeable
+            # a copy with other fracture edges shares the node set's areas
+            other = m.with_fracture_edges(m.fracture_edges[:1])
+            assert other.area is m.area
+            # and neither caches anything else
+            assert not hasattr(m, "basis")
+            cached = {f.name for f in fields(Mesh)} | {"area"}
+            assert set(vars(other)) == set(vars(m)) == cached
 
     def test_one_geometry_pass_per_node_set(self, monkeypatch):
-        passes = {"area": 0, "basis": 0}
-        for name in passes:
-            compute = getattr(Mesh, name).func
+        passes = []
+        compute = Mesh.area.func
 
-            def counting(m, name=name, compute=compute):
-                passes[name] += 1
-                return compute(m)
+        def counting(m):
+            passes.append(1)
+            return compute(m)
 
-            prop = cached_property(counting)
-            prop.__set_name__(Mesh, name)
-            monkeypatch.setattr(Mesh, name, prop)
-        m = GEOMETRY_MESHES["rectangle"]()
-        m.area, m.basis
-        assert passes == {"area": 1, "basis": 1}
+        prop = cached_property(counting)
+        prop.__set_name__(Mesh, "area")
+        monkeypatch.setattr(Mesh, "area", prop)
+        GEOMETRY_MESHES["rectangle"]().area
+        assert len(passes) == 1
         spec = DomainSpec(shape="disk", radius=10.0, fracture_length=4.0,
                           resolution=1.0)
         for member in build_reservoir_mesh_family(spec, [2.0, 3.0, 4.0]):
-            member.area, member.basis
-        assert passes == {"area": 2, "basis": 2}
+            member.area
+        assert len(passes) == 2
 
     @pytest.mark.parametrize("tris", [[[0, 2, 1]], [[0, 1, 2], [0, 1, 3]]],
                              ids=["flipped", "degenerate"])
@@ -420,7 +415,7 @@ class TestGeometry:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match="non-positively-oriented"):
-                m.basis
+                basis_gradients(m)
         assert m.area.min() <= 0  # the areas themselves stay readable
 
 

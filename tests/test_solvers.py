@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+import fracflow.assembly
 import fracflow.solvers
 from fracflow import (
     DomainSpec,
@@ -619,6 +620,23 @@ class TestSolveSlab:
         assert rep.converged and rep.iterations == 3
         assert rep.final_residual <= 1e-8
 
+    def test_reordered_factor_names_its_first_moved_row(self):
+        # at h = 3e-5 the tangent's transverse entries dwarf the rest, and
+        # SuperLU moves rows of the first factorization although the
+        # diagonal there is of the matrix's size: the pivot it rejected
+        # came from cancellation in the elimination, not from a small entry
+        m = build_fracture_slab_mesh(1.0, 3e-5, 32, 8)
+        q = lambda x: 1e5 * (1.0 - x)
+        with pytest.raises(SolverError, match=r"Newton step 1: .* reordered its rows "
+                                              r"or columns, first row \d+ of 288") as err:
+            solve_slab(m, FlowParams(alpha_f=1.0, beta=1.0), "anisotropic",
+                       q, q, 0.0, tol=1e-10)
+        kind, entry = err.value.history[-1]
+        assert kind == "pivot" and f"first row {entry['row']} of" in str(err.value)
+        assert 0 <= entry["row"] < 288
+        assert 0 < entry["diagonal"] <= entry["column_max"]
+        assert abs(entry["pivot"]) <= 1e-12 * entry["diagonal"]
+
     def test_strong_contrast_slab_solves(self):
         # where t(|g_x|) << 1/alpha_f the anisotropic tangent is badly
         # scaled; started at the line of its own load, every slab converges
@@ -692,6 +710,24 @@ class TestSolveSlab:
         assert rep.iterations > 1
         assert len(factorizations) == rep.iterations
         assert eliminations == []
+
+    @pytest.mark.parametrize("flavor", ["isotropic", "anisotropic"])
+    def test_basis_gradients_computed_once_per_solve(self, flavor, monkeypatch):
+        # every Newton step reuses the solve's one array of them
+        passes = []
+        original = fracflow.assembly.basis_gradients
+
+        def counting(m):
+            passes.append(1)
+            return original(m)
+
+        for module in (fracflow.assembly, fracflow.solvers):
+            monkeypatch.setattr(module, "basis_gradients", counting)
+        m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
+        q = lambda x: 2.0 * (1.0 - x)
+        _, rep = solve_slab(m, FlowParams(beta=1.0), flavor, q, q, 0.5)
+        assert rep.iterations > 1
+        assert len(passes) == 1
 
     def test_reduced_solution_is_y_independent(self):
         m = build_fracture_slab_mesh(1.0, 0.1, 32, 8)
