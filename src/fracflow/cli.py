@@ -6,7 +6,10 @@
     fracflow validate --config cfg.json ...
 
 Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
-4 trend or error-bound check failure (sweep/validate).
+4 trend or error-bound check failure (sweep/validate).  A config that
+cannot be read or decoded, an output path that cannot be a directory
+and a resolution whose mesh cannot be allocated are configuration
+errors too, each reported on one line.
 
 solver.tol ends every Newton solve of solve, inverse and sweep.
 solver.max_picard bounds the Newton steps of the forward solves (the key
@@ -148,12 +151,11 @@ def main(argv=None) -> int:
         if spec.command != args.command:
             raise ConfigError(
                 f"config declares command {spec.command!r} but {args.command!r} was requested")
+        out = Path(args.out if args.out is not None else spec.output.dir)
+        out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-    out = Path(args.out if args.out is not None else spec.output.dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     try:
         if args.command == "solve":
@@ -163,6 +165,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(spec, out)
         return _cmd_validate(spec, out)
+    except ConfigError as exc:  # a mesh too fine to allocate
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (SolverError, ControlError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

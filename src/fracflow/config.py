@@ -225,14 +225,19 @@ def parse_config_data(data: dict) -> RunSpec:
 
 def parse_config(path) -> RunSpec:
     """Load and validate a JSON configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ConfigError(f"parse error in {path}: nested too deeply") from exc
     return parse_config_data(data)
 
 

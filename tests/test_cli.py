@@ -237,7 +237,7 @@ def test_fracture_that_cannot_be_meshed_exits_2(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "o").exists()
 
 
-def test_config_errors_exit_2(tmp_path):
+def test_config_errors_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["solve", "--config", missing]) == 2
     bad = write_cfg(tmp_path, {"command": "solve",
@@ -246,6 +246,48 @@ def test_config_errors_exit_2(tmp_path):
     mismatch = write_cfg(tmp_path, {"command": "solve", "domain": DOMAIN},
                          name="m.json")
     assert main(["sweep", "--config", mismatch, "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"command": "solve", "domain": {"shape": "r\xe9ctangle"}}')
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    # an output path that names an existing file, given by --out or output.dir
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    good = {"command": "solve", "domain": DOMAIN, "params": PARAMS}
+    out_dir = write_cfg(tmp_path, dict(good, output={"dir": str(taken)}),
+                        name="out_dir.json")
+    for argv, message in [
+            ([str(latin1), "--out", str(tmp_path / "o")], "is not UTF-8 text"),
+            ([str(nested), "--out", str(tmp_path / "o")], "nested too deeply"),
+            ([write_cfg(tmp_path, good), "--out", str(taken)], "File exists"),
+            ([out_dir], "File exists")]:
+        assert main(["solve", "--config"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+    assert taken.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("command", ["solve", "inverse", "sweep", "validate"])
+def test_mesh_too_fine_to_allocate_exits_2(tmp_path, capsys, command):
+    # petabytes for the fracture offsets (or the slab's nodes): no
+    # allocator can grant it, so it fails at once
+    sections = {"sweep": {"sweep": {"lengths": [4.0, 6.0, 8.0],
+                                    "betas": [0.0, 1e-3]}},
+                "validate": {"params": {"alpha_f": 1.0, "beta": 1.0}}}
+    data = dict({"command": command,
+                 "domain": dict(DOMAIN, resolution=1e-15), "params": PARAMS},
+                **sections.get(command, {}))
+    if command == "validate":
+        data["domain"]["fracture_length"] = 1.0
+    cfg = write_cfg(tmp_path, data)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot mesh the ")
+    assert "at resolution 1e-15: " in err and err.count("\n") == 1
 
 
 def test_threads_key_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -319,3 +320,33 @@ class TestVtk:
         assert {"-0", "nan", "inf", "-inf"} <= set(field)
         write_field_vtk(m, values, tmp_path / "field.vtk")
         assert (tmp_path / "field.vtk").read_bytes() == ("\n".join(field) + "\n").encode()
+
+    @pytest.mark.parametrize("mesh", ["rectangle", "disk", "signed-zeros"])
+    def test_field_bytes_match_the_one_expression_writer(self, tmp_path, mesh):
+        if mesh == "disk":
+            m = build_reservoir_mesh(DomainSpec(
+                shape="disk", fracture_length=3.0, radius=5.0, resolution=0.5))
+        else:
+            m = build_reservoir_mesh(DomainSpec(
+                shape="rectangle", width=10.0, height=8.0, fracture_length=3.0,
+                resolution=0.5, grading=1.2))
+        if mesh == "signed-zeros":  # -0.0 and 0.0 print differently
+            nodes = m.nodes.copy()
+            nodes[::3][nodes[::3] == 0.0] = -0.0
+            m = dataclasses.replace(m, nodes=nodes)
+            assert np.signbit(m.nodes[m.nodes == 0.0]).any()
+            assert not np.signbit(m.nodes[m.nodes == 0.0]).all()
+        values = np.cos(m.nodes[:, 0]) * np.exp(m.nodes[:, 1])
+        n, nt = m.num_nodes, m.num_triangles
+        # reference: the whole file formatted as one expression
+        text = ("# vtk DataFile Version 3.0\nfracflow pressure field\nASCII\n"
+                f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n"
+                + ("%.10g %.10g 0\n" * n) % tuple(m.nodes.ravel().tolist())
+                + f"CELLS {nt} {4 * nt}\n"
+                + ("3 %d %d %d\n" * nt) % tuple(m.triangles.ravel().tolist())
+                + f"CELL_TYPES {nt}\n" + "5\n" * nt
+                + f"POINT_DATA {n}\nSCALARS pressure double 1\n"
+                "LOOKUP_TABLE default\n"
+                + ("%.10g\n" * n) % tuple(values.tolist()))
+        write_field_vtk(m, values, tmp_path / "field.vtk")
+        assert (tmp_path / "field.vtk").read_bytes() == text.encode()
