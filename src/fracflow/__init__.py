@@ -11,7 +11,12 @@ Importing the package executes none of NumPy's submodules that no
 command uses: ``numpy.f2py``, ``numpy.testing``, ``numpy.polynomial``,
 ``numpy.ctypeslib``, ``numpy.char``, ``numpy.rec`` and ``numpy.strings``
 are registered as lazy modules, which execute on their first attribute
-access, so a caller that uses one gets the real module.
+access, so a caller that uses one gets the real module.  This holds for
+the whole host process, not only the console script; a submodule the
+host imported before fracflow is left as it is.  Before Python 3.12
+LazyLoader is not thread-safe: in a multithreaded host, import a
+deferred submodule before fracflow if two threads may first touch it
+at once.
 """
 
 import importlib.util

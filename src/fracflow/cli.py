@@ -165,8 +165,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(spec, out)
         return _cmd_validate(spec, out)
-    except ConfigError as exc:  # a mesh too fine to allocate
-        print(f"configuration error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # a mesh too fine to allocate
+        print(f"configuration error: cannot mesh at resolution "
+              f"{spec.domain.resolution:g}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (SolverError, ControlError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

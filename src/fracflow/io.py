@@ -71,21 +71,16 @@ def write_field_vtk(m: Mesh, W, path) -> None:
     if values.shape != (n,):
         raise ValueError(
             f"field has {values.shape} values for a mesh with {n} nodes")
-    # a grid has a few hundred distinct coordinates: each is formatted
-    # once, told apart by its bits (np.unique on the floats would merge
-    # -0.0 with 0.0, which print differently), and each node id once;
-    # Python floats and ints format as NumPy scalars do, only faster
-    bits, at = np.unique(m.nodes.ravel().view(np.int64), return_inverse=True)
-    coords = np.array(["%.10g" % x for x in bits.view(np.float64).tolist()],
-                      dtype=object)
-    ids = np.array([str(i) for i in range(n)], dtype=object)
+    # each section formatted in one pass; Python floats and ints format
+    # as NumPy scalars do, only faster
+    text = ("# vtk DataFile Version 3.0\nfracflow pressure field\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n"
+            + ("%.10g %.10g 0\n" * n) % tuple(m.nodes.ravel().tolist())
+            + f"CELLS {nt} {4 * nt}\n"
+            + ("3 %d %d %d\n" * nt) % tuple(m.triangles.ravel().tolist())
+            + f"CELL_TYPES {nt}\n" + "5\n" * nt
+            + f"POINT_DATA {n}\nSCALARS pressure double 1\n"
+            "LOOKUP_TABLE default\n"
+            + ("%.10g\n" * n) % tuple(values.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# vtk DataFile Version 3.0\nfracflow pressure field\nASCII\n"
-                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n")
-        fh.write(("%s %s 0\n" * n) % tuple(coords[at].tolist()))
-        fh.write(f"CELLS {nt} {4 * nt}\n")
-        fh.write(("3 %s %s %s\n" * nt) % tuple(ids[m.triangles.ravel()].tolist()))
-        fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
-        fh.write(f"POINT_DATA {n}\nSCALARS pressure double 1\n"
-                 "LOOKUP_TABLE default\n")
-        fh.write(("%.10g\n" * n) % tuple(values.tolist()))
+        fh.write(text)

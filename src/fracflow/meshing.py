@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError
+from .errors import GeometryError
 
 __all__ = [
     "DomainSpec",
@@ -262,35 +262,29 @@ def build_reservoir_mesh_family(spec: DomainSpec, lengths) -> list[Mesh]:
     returned mesh simply tags the sub-polyline [well, well + L].  Because
     the nodes (and hence the discrete point-well behavior) are identical,
     capacities computed across the family can be compared without
-    mesh-induced noise.  A resolution whose mesh cannot be allocated
-    raises ConfigError.
+    mesh-induced noise.
     """
     Ls = [float(L) for L in lengths]
     if not Ls:
         raise GeometryError("lengths must be nonempty")
-    try:
-        offsets = {0.0}
-        for L in Ls:
-            spec.check_fracture(L)
-            nf = int(round(L / spec.resolution))
-            offsets.update((L / nf) * np.arange(nf + 1))
-        # merge offsets that differ only by rounding so no sliver intervals
-        # survive in the shared polyline
-        raw = np.array(sorted(offsets))
-        merge_tol = 1e-9 * max(1.0, raw[-1])
-        kept = [raw[0]]
-        for v in raw[1:]:
-            if v - kept[-1] > merge_tol:
-                kept.append(v)
-        offs = np.array(kept)
-        offs[-1] = max(Ls)
+    offsets = {0.0}
+    for L in Ls:
+        spec.check_fracture(L)
+        nf = int(round(L / spec.resolution))
+        offsets.update((L / nf) * np.arange(nf + 1))
+    # merge offsets that differ only by rounding so no sliver intervals
+    # survive in the shared polyline
+    raw = np.array(sorted(offsets))
+    merge_tol = 1e-9 * max(1.0, raw[-1])
+    kept = [raw[0]]
+    for v in raw[1:]:
+        if v - kept[-1] > merge_tol:
+            kept.append(v)
+    offs = np.array(kept)
+    offs[-1] = max(Ls)
 
-        base = replace(spec, fracture_length=max(Ls))
-        full = (_rectangle_mesh(base, offs) if spec.shape == "rectangle"
-                else _disk_mesh(base, offs))
-    except MemoryError as exc:
-        raise ConfigError(f"cannot mesh the reservoir at resolution "
-                          f"{spec.resolution:g}: {exc}") from exc
+    base = replace(spec, fracture_length=max(Ls))
+    full = _rectangle_mesh(base, offs) if spec.shape == "rectangle" else _disk_mesh(base, offs)
 
     wx = spec.well[0]
     mids = full.nodes[full.fracture_edges].mean(axis=1)[:, 0]

@@ -338,7 +338,8 @@ class TestVtk:
             assert not np.signbit(m.nodes[m.nodes == 0.0]).all()
         values = np.cos(m.nodes[:, 0]) * np.exp(m.nodes[:, 1])
         n, nt = m.num_nodes, m.num_triangles
-        # reference: the whole file formatted as one expression
+        # reference: the whole file formatted as one expression, which any
+        # faster writer must reproduce byte for byte
         text = ("# vtk DataFile Version 3.0\nfracflow pressure field\nASCII\n"
                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n"
                 + ("%.10g %.10g 0\n" * n) % tuple(m.nodes.ravel().tolist())
