@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 trend or error-bound check failure (sweep/validate).  A config that
 cannot be read or decoded, an output path that cannot be a directory
 and a resolution whose mesh cannot be allocated are configuration
-errors too, each reported on one line.
+errors too, each reported on one line.  A command that ends before it
+writes an output removes the directories it made for them.
 
 solver.tol ends every Newton solve of solve, inverse and sweep.
 solver.max_picard bounds the Newton steps of the forward solves (the key
@@ -24,6 +25,7 @@ its reservoir (exit 2 before any output otherwise); it runs serially.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -152,6 +154,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares command {spec.command!r} but {args.command!r} was requested")
         out = Path(args.out if args.out is not None else spec.output.dir)
+        made = [d for d in (out, *out.parents) if not d.exists()]
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -175,6 +178,10 @@ def main(argv=None) -> int:
     except FracflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:  # a command that wrote nothing leaves no directory behind
+        for d in made:  # leaf first; rmdir removes only an empty directory
+            with contextlib.suppress(OSError):
+                d.rmdir()
 
 
 if __name__ == "__main__":

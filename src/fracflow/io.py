@@ -11,6 +11,7 @@ import numpy as np
 
 from .assembly import ScalarField
 from .meshing import Mesh
+from .reduction import Q_NORM_CONVENTION
 from .sweep import SweepTable
 
 __all__ = [
@@ -21,9 +22,7 @@ __all__ = [
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and (np.isnan(x) or np.isinf(x)):
-        return "nan" if np.isnan(x) else ("inf" if x > 0 else "-inf")
-    return f"{x:.6g}"
+    return f"{x:.6g}"  # nan, inf and -inf too
 
 
 def write_sweep_csv(t: SweepTable, path) -> None:
@@ -50,11 +49,8 @@ def write_sweep_csv(t: SweepTable, path) -> None:
 
 def write_reduction_csv(reports, path) -> None:
     """Model-reduction study rows, one per report."""
-    lines = []
-    notes = sorted({r.notes for r in reports})
-    for n in notes:
-        lines.append(f"# {n}")
-    lines.append("flavor,h,q0,lhs,rhs,empirical_C,norm_Wx_full,norm_Wx_reduced,norm_Wy")
+    lines = [f"# {Q_NORM_CONVENTION}",
+             "flavor,h,q0,lhs,rhs,empirical_C,norm_Wx_full,norm_Wx_reduced,norm_Wy"]
     for r in reports:
         lines.append(",".join([
             r.flavor, _fmt(r.h), _fmt(r.q0), _fmt(r.lhs), _fmt(r.rhs),

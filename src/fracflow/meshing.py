@@ -98,7 +98,7 @@ class DomainSpec:
         [well, well + L]; in a disk, well at the center and L <= radius."""
         if L <= 0:
             raise GeometryError("fracture lengths must be > 0")
-        if round(L / self.resolution) < 1:
+        if L / self.resolution <= 0.5:  # no edge at round(L / resolution)
             raise GeometryError(
                 f"resolution {self.resolution} too coarse to resolve fracture length {L}")
         if self.shape == "rectangle":
@@ -176,6 +176,13 @@ class Mesh:
         return copy
 
 
+def _check_nodes(count: float) -> None:
+    """MemoryError before any allocation for more nodes (or inf, or NaN)
+    than an array of their coordinates can hold; NumPy raises ValueError."""
+    if not count <= np.iinfo(np.intp).max // 16:
+        raise MemoryError(f"{count:.3g} nodes are more than one NumPy array can hold")
+
+
 def _graded_sizes(span: float, first: float, ratio: float) -> np.ndarray:
     """Interval sizes filling `span`, starting near `first`, growing by `ratio`."""
     if span <= 1e-9 * first:  # nothing to fill (guards rounding slivers)
@@ -183,13 +190,18 @@ def _graded_sizes(span: float, first: float, ratio: float) -> np.ndarray:
     if first >= span:
         return np.array([span])
     if ratio <= 1.0 + 1e-12:
+        _check_nodes(span / first)
         n = max(1, int(round(span / first)))
         return np.full(n, span / n)
+    # a float64 power past the largest float is inf and ends the loop (a
+    # Python float raises; 2**63 fits no C long); overflowed sizes are NaN
+    ratio = np.float64(ratio)
     n = 1
-    while first * (ratio ** n - 1.0) / (ratio - 1.0) < span:
-        n += 1
-    sizes = first * ratio ** np.arange(n)
-    return sizes * (span / sizes.sum())
+    with np.errstate(all="ignore"):
+        while first * (ratio ** n - 1.0) / (ratio - 1.0) < span:
+            n += 1
+        sizes = first * ratio ** np.arange(n)
+        return sizes * (span / sizes.sum())
 
 
 def _breaks_from(start: float, sizes: np.ndarray, direction: float) -> np.ndarray:
@@ -200,9 +212,10 @@ def _grid_mesh(xs, ys, frac_x_lo=None, frac_x_hi=None, frac_y=None,
                tags="reservoir"):
     """Tensor-product triangulation of sorted x/y lines.
 
-    Cells split along the lower-left to upper-right diagonal.  If the
-    fracture bounds are given, edges on y = frac_y inside them are
-    collected in order.
+    Cells split along the lower-left to upper-right diagonal.  Given the
+    fracture's lines, exact members of xs and ys, the edges on y = frac_y
+    between them are collected in order, by index, however short the
+    graded intervals beside them.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -221,10 +234,8 @@ def _grid_mesh(xs, ys, frac_x_lo=None, frac_x_hi=None, frac_y=None,
 
     fracture_edges = np.empty((0, 2), dtype=int)
     if frac_y is not None:
-        iy0 = int(np.argmin(np.abs(ys - frac_y)))
-        tol = 1e-12 * max(1.0, abs(frac_x_hi - frac_x_lo))
-        xm = 0.5 * (xs[:-1] + xs[1:])
-        ix = np.flatnonzero((frac_x_lo - tol < xm) & (xm < frac_x_hi + tol))
+        iy0 = np.searchsorted(ys, frac_y)
+        ix = np.arange(*np.searchsorted(xs, [frac_x_lo, frac_x_hi]))
         fracture_edges = np.column_stack([nid(iy0, ix), nid(iy0, ix + 1)])
 
     boundary = {}
@@ -270,6 +281,7 @@ def build_reservoir_mesh_family(spec: DomainSpec, lengths) -> list[Mesh]:
     offsets = {0.0}
     for L in Ls:
         spec.check_fracture(L)
+        _check_nodes(L / spec.resolution)
         nf = int(round(L / spec.resolution))
         offsets.update((L / nf) * np.arange(nf + 1))
     # merge offsets that differ only by rounding so no sliver intervals
@@ -323,6 +335,7 @@ def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     frac_radii = offsets[1:]
     outer = _breaks_from(L, _graded_sizes(R - L, size, spec.grading), +1.0)
     radii = np.unique(np.concatenate([frac_radii, outer]))
+    _check_nodes(len(radii) * 2.0 * np.pi * R / spec.resolution)
     nb = int(np.ceil(2.0 * np.pi * R / spec.resolution))
     theta = 2.0 * np.pi * np.arange(nb) / nb
 
@@ -339,8 +352,8 @@ def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
                       np.stack([a[:-1], b[1:], b[:-1]], axis=-1)], axis=2)
     triangles = np.concatenate([fan, cells.reshape(-1, 3)])
 
-    # fracture runs along theta = 0, where sin is exactly zero
-    n_frac_rings = int(np.sum(radii <= L * (1.0 + 1e-12)))
+    # fracture runs along theta = 0, where sin is exactly zero, to radius L
+    n_frac_rings = int(np.searchsorted(radii, L, side="right"))
     frac_nodes = np.concatenate([[0], a[:n_frac_rings, 0]])
     frac_edges = np.column_stack([frac_nodes[:-1], frac_nodes[1:]])
     boundary = {TAG_OUTER: np.column_stack([a[-1], b[-1]])}
@@ -359,6 +372,7 @@ def build_fracture_slab_mesh(L: float, h: float, nx: int, ny: int) -> Mesh:
         raise GeometryError("slab requires L > 0 and h > 0")
     if nx < 2 or ny < 2:
         raise GeometryError("slab requires nx >= 2 and ny >= 2")
+    _check_nodes(float(nx + 1) * (ny + 1))
     xs = np.linspace(0.0, L, nx + 1)
     ys = np.linspace(-h / 2.0, h / 2.0, ny + 1)
     nodes, triangles, _, boundary = _grid_mesh(xs, ys, tags="slab")
@@ -370,6 +384,6 @@ def build_fracture_slab_mesh(L: float, h: float, nx: int, ny: int) -> Mesh:
 
 def _oriented(m: Mesh) -> Mesh:
     """m, or GeometryError if a triangle of m is not positively oriented."""
-    if np.any(m.area <= 0):
+    if not np.all(m.area > 0):
         raise GeometryError("mesh contains non-positively-oriented triangles")
     return m

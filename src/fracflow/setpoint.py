@@ -57,9 +57,13 @@ def _gain_at_rest(c: BulkCondensation, line: TraceLine,
                   p: FlowParams) -> tuple[np.ndarray, float]:
     """Darcy-limit trace response v = J0^-1 w to a unit q, J0 the line's
     tangent at rest (mobility 1/alpha), and the gain at rest
-    G = dC/dQ = (w . v + m_I . u) / V^2 > 0."""
+    G = dC/dQ = (w . v + m_I . u) / V^2 > 0; ControlError if V^2 overflows."""
     v = _pinned_solve(line.operator(c.S, line.h / p.alpha_f), line.weights)
-    return v, (float(line.weights @ v) + c.mIu) / line.volume ** 2
+    try:
+        square = line.volume ** 2
+    except OverflowError as exc:  # a volume past 1e154
+        raise ControlError(f"the line's volume {line.volume:g} has no float square") from exc
+    return v, (float(line.weights @ v) + c.mIu) / square
 
 
 def baseline_pdd(m: Mesh, p: FlowParams, Q: float, *,
@@ -69,9 +73,14 @@ def baseline_pdd(m: Mesh, p: FlowParams, Q: float, *,
     The unfractured reservoir is m without its fracture edges, which
     shares m's node set and so its condensation: only the bulk operator
     and the pinned well remain, and the drawdown is Q times its gain.
+    ControlError if a positive Q's drawdown is 0 or not finite.
     """
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
-    return Q * _gain_at_rest(c, c.line(m.with_fracture_edges([]), p.k_p), p)[1]
+    pdd = Q * _gain_at_rest(c, c.line(m.with_fracture_edges([]), p.k_p), p)[1]
+    if Q > 0 and not 0 < pdd < np.inf:  # e.g. a subnormal rate's, rounded to 0
+        raise ControlError(f"the baseline drawdown at rate {Q:g} is {pdd:g}, "
+                           "which no set-point can target")
+    return pdd
 
 
 def step_response(m: Mesh, p: FlowParams, *,

@@ -274,20 +274,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["solve", "inverse", "sweep", "validate"])
 def test_mesh_too_fine_to_allocate_exits_2(tmp_path, capsys, command):
     # petabytes for the fracture offsets (or the slab's nodes): no
-    # allocator can grant it, so it fails at once
+    # allocator can grant it, so it fails at once; at 1e-300 the node
+    # count is past what one NumPy array can hold, refused before asking
     sections = {"sweep": {"sweep": {"lengths": [4.0, 6.0, 8.0],
                                     "betas": [0.0, 1e-3]}},
                 "validate": {"params": {"alpha_f": 1.0, "beta": 1.0}}}
-    data = dict({"command": command,
-                 "domain": dict(DOMAIN, resolution=1e-15), "params": PARAMS},
-                **sections.get(command, {}))
-    if command == "validate":
-        data["domain"]["fracture_length"] = 1.0
-    cfg = write_cfg(tmp_path, data)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: cannot mesh at resolution 1e-15: ")
-    assert err.count("\n") == 1
+    for resolution in (1e-15, 1e-300):
+        data = dict({"command": command,
+                     "domain": dict(DOMAIN, resolution=resolution), "params": PARAMS},
+                    **sections.get(command, {}))
+        if command == "validate":
+            data["domain"]["fracture_length"] = 1.0
+        cfg = write_cfg(tmp_path, data)
+        out = tmp_path / "o" / "nested"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"configuration error: cannot mesh at resolution {resolution:g}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()  # nor the parent it made
 
 
 def test_threads_key_exits_2(tmp_path, capsys):

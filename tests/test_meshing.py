@@ -308,6 +308,32 @@ def test_grid_fracture_edges_match_the_column_loop(spec):
     assert np.array_equal(m.fracture_edges, edges)
 
 
+@pytest.mark.parametrize("spec", [
+    rect_spec(fracture_length=4.0, width=20.0, height=16.0, resolution=2.0,
+              grading=1e15),
+    rect_spec(fracture_length=4.0, width=20.0, height=16.0, resolution=2.0,
+              grading=1e15, well=(-5.0, 1.0)),
+    DomainSpec(shape="disk", fracture_length=4.0, radius=10.0, resolution=2.0,
+               grading=1e15),
+], ids=["rectangle", "rectangle-offset-well", "disk"])
+def test_steep_grading_tags_exactly_the_fracture(spec):
+    # the first graded interval beside the fracture is ~1e-14 long, inside
+    # the old midpoint and radius tolerances; tagging by grid index keeps it out
+    m = build_reservoir_mesh(spec)
+    path = m.nodes[np.append(m.fracture_edges[:, 0], m.fracture_edges[-1, 1])]
+    wx, wy = spec.well
+    assert np.array_equal(path[:, 1], np.full(len(path), wy))
+    assert path[0, 0] == wx and path[-1, 0] == wx + spec.fracture_length
+    assert np.all(np.diff(path[:, 0]) > 0)
+
+
+@pytest.mark.parametrize("ratio", [1e300, 2 ** 63, 1.7e308])
+def test_graded_sizes_of_a_huge_ratio_do_not_overflow(ratio):
+    from fracflow.meshing import _graded_sizes
+    sizes = _graded_sizes(10.0, 0.5, ratio)
+    assert np.all(np.isfinite(sizes)) and sizes.sum() == pytest.approx(10.0)
+
+
 GRID_MESHES = {
     "rectangle": lambda: build_reservoir_mesh(rect_spec(
         fracture_length=5.0, width=40.0, height=32.0, resolution=2.0,

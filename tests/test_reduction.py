@@ -11,6 +11,7 @@ from fracflow import (
     isotropic_report,
     linear_inflow,
     lq_seminorm,
+    write_reduction_csv,
 )
 from fracflow.reduction import _integrate
 
@@ -94,15 +95,18 @@ class TestIsotropic:
         c2 = isotropic_report(1.0, 0.1, 1.0 / 64, p, q, q).empirical_C
         assert max(c1, c2) <= 2.0 * min(c1, c2)
 
-    def test_data_term_uses_thickness_extension(self):
+    def test_data_term_uses_thickness_extension(self, tmp_path):
         # constant q: ||q||_L3(slab)^2 = (h L q^3)^(2/3), doubled h scales
-        # the data term by 2^(2/3)
+        # the data term by 2^(2/3); the table states the convention once
         p = FlowParams(alpha_f=1.0, beta=0.1)
         q = lambda x: 0.25
         r1 = isotropic_report(1.0, 0.1, 1.0 / 16, p, q, q)
         r2 = isotropic_report(1.0, 0.2, 1.0 / 16, p, q, q)
         assert r2.rhs == pytest.approx(r1.rhs * 2.0 ** (2.0 / 3.0), rel=1e-9)
-        assert "h^(1/3)" in r1.notes
+        write_reduction_csv([r1, r2], tmp_path / "r.csv")
+        comments = [ln for ln in (tmp_path / "r.csv").read_text().splitlines()
+                    if ln.startswith("#")]
+        assert len(comments) == 1 and "h^(1/3)" in comments[0]
 
 
 class TestAnisotropic:

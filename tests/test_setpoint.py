@@ -58,6 +58,13 @@ class TestBaseline:
     def test_zero_rate(self, rect_mesh):
         assert baseline_pdd(rect_mesh, FlowParams(alpha_f=0.05), 0.0) == 0.0
 
+    def test_drawdown_that_rounds_to_zero_or_inf_is_no_target(self, rect_mesh):
+        # the gain is 0.58 / k_p: at k_p = 4 a subnormal rate's drawdown
+        # rounds to 0, at k_p = 0.1 the largest rates' overflow
+        for k_p, Q in [(4.0, 5e-324), (0.1, 1e308)]:
+            with pytest.raises(ControlError, match="baseline drawdown"):
+                baseline_pdd(rect_mesh, FlowParams(alpha_f=0.05, k_p=k_p), Q)
+
     def test_linearity(self, rect_mesh):
         p = FlowParams(alpha_f=0.05)
         pdd1 = baseline_pdd(rect_mesh, p, 1000.0)
@@ -167,6 +174,12 @@ class TestSetpoint:
     def test_invalid_target_rejected(self, rect_mesh):
         with pytest.raises(ValueError):
             solve_setpoint(rect_mesh, FlowParams(alpha_f=0.05), -5.0)
+
+    def test_volume_without_a_float_square_is_a_control_error(self, rect_mesh):
+        # aperture 1e300: the square of the line's volume overflows
+        with pytest.raises(ControlError, match="no float square"):
+            solve_setpoint(replace(rect_mesh, aperture=1e300),
+                           FlowParams(alpha_f=0.05), 1.0)
 
     def test_zero_aperture_is_linear(self, rect_mesh, bare_mesh):
         # no fracture term: one step, and the capacity of the bare reservoir
