@@ -9,8 +9,10 @@ Exit codes: 0 success, 2 configuration error, 3 solver non-convergence,
 4 trend or error-bound check failure (sweep/validate).  A config that
 cannot be read or decoded, an output path that cannot be a directory
 and a resolution whose mesh cannot be allocated are configuration
-errors too, each reported on one line.  A command that ends before it
-writes an output removes the directories it made for them.
+errors too, each reported on one line, and so is a solver error: the
+commands run with NumPy's floating-point warnings off.  A command that
+ends before it writes an output removes the directories it made for
+them.
 
 solver.tol ends every Newton solve of solve, inverse and sweep.
 solver.max_picard bounds the Newton steps of the forward solves (the key
@@ -30,6 +32,8 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from .assembly import output_C
 from .config import COMMANDS, RunSpec, parse_config
@@ -161,13 +165,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
-        if args.command == "solve":
-            return _cmd_solve(spec, out)
-        if args.command == "inverse":
-            return _cmd_inverse(spec, out)
-        if args.command == "sweep":
-            return _cmd_sweep(spec, out)
-        return _cmd_validate(spec, out)
+        # a failure is reported on one line, with no NumPy warning before it
+        with np.errstate(all="ignore"):
+            if args.command == "solve":
+                return _cmd_solve(spec, out)
+            if args.command == "inverse":
+                return _cmd_inverse(spec, out)
+            if args.command == "sweep":
+                return _cmd_sweep(spec, out)
+            return _cmd_validate(spec, out)
     except MemoryError as exc:  # a mesh too fine to allocate
         print(f"configuration error: cannot mesh at resolution "
               f"{spec.domain.resolution:g}: {exc}", file=sys.stderr)

@@ -115,9 +115,8 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float, *,
     line = c.line(m, p.k_p)
     w, V = line.weights, line.volume
 
-    # the residual scale of `solve_pss` at the Darcy start's rate
+    # the Darcy start's rate, whose residual scale is that of `solve_pss`
     q_start = target_pdd / (_gain_at_rest(c, line, p)[1] * V)
-    norm_b = q_start * float(np.sqrt(c.load_I @ c.load_I + line.load @ line.load))
     history: list[tuple[float, float]] = []
 
     def record(z):
@@ -126,7 +125,7 @@ def solve_setpoint(m: Mesh, p: FlowParams, target_pdd: float, *,
 
     try:
         z, report = _solve_line(c.S + np.outer(w, w) / c.mIu, line, p,
-                                (V * target_pdd / c.mIu) * w, norm_b,
+                                (V * target_pdd / c.mIu) * w, q_start,
                                 picard_tol, max_outer, record)
     except SolverError as exc:
         if len(history) < max_outer:

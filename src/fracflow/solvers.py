@@ -11,13 +11,14 @@ P1 lumped load:
 
 The well is pinned to zero, so its row and column of S and its entry of
 r are zero.  A is symmetric, so r is both the condensed load and the
-condensed output weight.  The cost is one sparse factorization per node
-set, of the bulk without the well ordered [interior, trace], whose
+condensed output weight.  The cost is one sparse factorization per mesh,
+of the bulk without the well ordered [interior, trace], whose
 trailing block gives S with no further solve.  The interior is ordered by
 nested dissection along the lines of the mesh's grid (`_grid_order`),
 the polar grid of a disk included.  One solve with the bordered factor
-gives r and m_I . u.  A mesh family (a sweep) shares one node set, so one
-condensation over the union of its fracture nodes serves every cell.
+gives r and m_I . u.  The meshes of a family (a sweep) share one node
+set, and each one's fracture is a prefix of the longest one's, so the
+condensation of the longest member serves every cell.
 
 Every nonlinear solve is Newton's method on a strictly convex energy,
 globalized by backtracking on that energy (`_newton`), and converged only
@@ -92,7 +93,6 @@ class SolveReport:
 
     iterations: int
     final_residual: float
-    converged: bool
     damping_used: float
 
 
@@ -246,11 +246,11 @@ def _newton(linearize, n: int, tol: float, max_iter: int,
         if on_step is not None:
             on_step(z)
         if state.residual <= tol:
-            return z, SolveReport(k, state.residual, True, smallest)
+            return z, SolveReport(k, state.residual, smallest)
         if stalled:
             floor = state.rounding()[1]
             if state.residual <= floor:
-                return z, SolveReport(k, state.residual, True, smallest)
+                return z, SolveReport(k, state.residual, smallest)
             raise SolverError(f"Newton stalled in step {k} at residual "
                               f"{state.residual:g}, above its rounding floor "
                               f"{floor:g}", history)
@@ -278,14 +278,17 @@ class TraceLine:
     weights: (nG,) r + h * fracture load.  A state at rate Q has the
         condensed load (Q / volume) * weights, and its drawdown is
         (weights . z_G + (Q / volume) * m_I . u) / volume.
-    load: (nG,) the uncondensed trace load m_G + h * fracture load.
+    scale: 2-norm of the uncondensed load [m_I; m_G + h * fracture load],
+        whose interior rows the condensed state satisfies exactly; a
+        state at rate q = Q / volume measures its residual against
+        |q| * scale.  Every entry is nonnegative, so scale <= volume.
     volume: |bulk| + h * fracture length.
     """
 
     h: float
     ell: np.ndarray
     weights: np.ndarray
-    load: np.ndarray
+    scale: float
     volume: float
 
     def gradients(self, z: np.ndarray) -> np.ndarray:
@@ -325,20 +328,21 @@ def _pinned_solve(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_line(S: np.ndarray, line: TraceLine, p: FlowParams,
-                b: np.ndarray, norm_b: float, tol: float, max_iter: int,
+                b: np.ndarray, rate: float, tol: float, max_iter: int,
                 on_step=None) -> tuple[np.ndarray, SolveReport]:
     """Newton solve of the line problem S z + (line flux at mobility
     h f(|z_x|)) = b, h = line.h, position 0 pinned to zero: the minimizer of
 
         E(z) = 1/2 z.S z + h sum_e ell_e Phi(|z_x|) - b.z,
 
-    whose tangent is line.operator(S, h * t(|z_x|)).  norm_b scales the
-    residual; on_step goes to `_newton`.  The rounding of E and grad E is
-    bounded from |S| |z|, |flux| and |b| by gamma_2n (z.Sz nests two sums
-    of n terms); grad E's bound adds z's own rounding, carried into each
-    edge's flux by the tangent.
+    whose tangent is line.operator(S, h * t(|z_x|)).  The residual is
+    relative to |rate * line.scale|, the norm of the uncondensed load at
+    the rate q = Q / volume; on_step goes to `_newton`.  The rounding of E
+    and grad E is bounded from |S| |z|, |flux| and |b| by gamma_2n (z.Sz
+    nests two sums of n terms); grad E's bound adds z's own rounding,
+    carried into each edge's flux by the tangent.
     """
-    norm_b = max(norm_b, 1e-300)
+    norm_b = max(abs(rate * line.scale), 1e-300)
     h, n, k = line.h, len(b), len(line.ell)
     gamma = _gamma(2 * n)
 
@@ -408,19 +412,14 @@ def _grid_order(ids: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return order[keep[order]]
 
 
-def _same_node_set(a: Mesh, b: Mesh) -> bool:
-    return (a.well_node == b.well_node
-            and (a.nodes is b.nodes or np.array_equal(a.nodes, b.nodes))
-            and (a.triangles is b.triangles or np.array_equal(a.triangles, b.triangles)))
-
-
 @dataclass(frozen=True, eq=False)
 class BulkCondensation:
-    """Darcy bulk of one node set eliminated onto its trace nodes.
+    """Darcy bulk of one mesh eliminated onto its trace nodes.
 
     trace[0] is the well node, pinned to zero; the other trace nodes are
-    the fracture nodes of the meshes it was built for, in order along the
-    fracture.  Build it with `condense_bulk`.
+    the fracture nodes of the mesh it was built for, in order along the
+    fracture.  It serves every mesh of that node set whose fracture is a
+    prefix of that path.  Build it with `condense_bulk`.
     """
 
     mesh: Mesh
@@ -440,10 +439,13 @@ class BulkCondensation:
         """The fracture line of mesh m, at its aperture, on this trace; m's
         fracture edges must be the trace positions (e, e + 1) from the well,
         the path every mesh builder makes (ValueError otherwise)."""
-        h = m.aperture
+        h, own = m.aperture, self.mesh
         if k_p != self.k_p:
             raise ValueError(f"condensation was built for k_p={self.k_p}, not {k_p}")
-        if not _same_node_set(self.mesh, m):
+        if not (own.well_node == m.well_node
+                and (own.nodes is m.nodes or np.array_equal(own.nodes, m.nodes))
+                and (own.triangles is m.triangles
+                     or np.array_equal(own.triangles, m.triangles))):
             raise ValueError("mesh does not share the condensed node set")
         edges = m.fracture_edges if h != 0.0 else np.empty((0, 2), dtype=int)
         if not np.array_equal(self.position[edges],
@@ -453,7 +455,12 @@ class BulkCondensation:
         ell = _edge_geometry(m, edges)
         half = h * ell / 2.0
         frac = _path_sum(half, half, len(self.trace))
-        return TraceLine(h, ell, self.r + frac, self.load_G + frac,
+        # [m_I; load] scaled by a power of two to a largest entry in
+        # [0.5, 1), which is exact and keeps the squares from overflowing
+        load = self.load_G + frac
+        s = np.ldexp(1.0, int(np.frexp(max(self.load_I.max(initial=0.0), load.max()))[1]))
+        a, b = self.load_I / s, load / s
+        return TraceLine(h, ell, self.r + frac, float(np.sqrt(a @ a + b @ b)) * s,
                          self.area + h * float(ell.sum()))
 
     def output(self, line: TraceLine, z: np.ndarray, q: float) -> float:
@@ -476,13 +483,14 @@ class BulkCondensation:
         return ScalarField(w, m)
 
 
-def condense_bulk(meshes, k_p: float) -> BulkCondensation:
-    """Factorize the bulk of one node set and condense it onto the trace.
+def condense_bulk(m: Mesh, k_p: float) -> BulkCondensation:
+    """Factorize the bulk of mesh m and condense it onto its trace.
 
-    `meshes` is a Mesh or a family of meshes sharing one node set (as from
-    build_reservoir_mesh_family); the trace is the well plus the union of
-    their fracture nodes in node order, which every mesh builder numbers
-    outward from the well, so the result serves every mesh of the family.
+    The trace is the well plus m's fracture nodes in node order, which
+    every mesh builder numbers outward from the well.  The meshes of a
+    family (build_reservoir_mesh_family) share one node set, and each
+    one's fracture is a prefix of the longest one's, so the condensation
+    of the longest member serves every mesh of the family.
 
     The interior is put in the fill-reducing `_grid_order` of the mesh's
     grid, which with the trace must hold every node exactly once
@@ -492,11 +500,7 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
     without pivoting (K = L D L^T in SuperLU's K = L U with U = D L^T),
     and S is read off the trailing block: S = U_GG^T D^-1 U_GG.
     """
-    meshes = [meshes] if isinstance(meshes, Mesh) else list(meshes)
-    m = meshes[0]
-    if not all(_same_node_set(m, o) for o in meshes[1:]):
-        raise ValueError("meshes must share one node set")
-    frac = np.unique(np.concatenate([o.fracture_edges.ravel() for o in meshes]))
+    frac = np.unique(m.fracture_edges)
     trace = np.concatenate([[m.well_node], frac[frac != m.well_node]]).astype(int)
     position = np.full(m.num_nodes, -1)
     position[trace] = np.arange(len(trace))
@@ -534,16 +538,6 @@ def condense_bulk(meshes, k_p: float) -> BulkCondensation:
         area=float(m.area.sum()))
 
 
-def _solve_trace(c: BulkCondensation, line: TraceLine, p: FlowParams,
-                 q: float, tol: float, max_iter: int,
-                 ) -> tuple[np.ndarray, SolveReport]:
-    """Trace state of the coupled model at q = Q / volume on condensation c."""
-    # residual relative to the full uncondensed load, whose interior rows
-    # the condensed state satisfies exactly
-    norm_b = abs(q) * float(np.sqrt(c.load_I @ c.load_I + line.load @ line.load))
-    return _solve_line(c.S, line, p, q * line.weights, norm_b, tol, max_iter)
-
-
 def solve_pss(m: Mesh, p: FlowParams, Q: float, tol: float = 1e-9,
               max_iter: int = 100, *,
               condensation: BulkCondensation | None = None,
@@ -556,7 +550,7 @@ def solve_pss(m: Mesh, p: FlowParams, Q: float, tol: float = 1e-9,
     c = condensation if condensation is not None else condense_bulk(m, p.k_p)
     line = c.line(m, p.k_p)
     q = Q / line.volume
-    z, report = _solve_trace(c, line, p, q, tol, max_iter)
+    z, report = _solve_line(c.S, line, p, q * line.weights, q, tol, max_iter)
     return c.full_field(m, z, q), report
 
 
@@ -604,7 +598,7 @@ def _slab_line(m: Mesh, p: FlowParams, xs: np.ndarray, column: np.ndarray,
     # node i >= 1 balances v_{i-1} - v_i = b_i; no edge lies beyond the tip
     r = v - np.append(v[1:], 0.0) - b[1:]
     residual = float(np.linalg.norm(r)) / max(float(np.linalg.norm(b)), 1e-300)
-    return W, SolveReport(0, residual, True, 1.0)
+    return W, SolveReport(0, residual, 1.0)
 
 
 def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,

@@ -5,9 +5,9 @@ every (L, beta) cell solves the inverse problem for the rate sustaining
 that drawdown and tabulates the diffusive capacity J = Q / PDD*.  All
 cells of one sweep share a single node set (only the fracture tagging
 differs), so comparisons across the table see no mesh-induced noise from
-the discrete point well.  The shared node set also means one bulk
-condensation over the union of the fracture nodes serves the baseline
-and every cell: a sweep condenses the bulk once.
+the discrete point well.  Each cell's fracture is a prefix of the longest
+one's, so the condensation of the longest member serves the baseline and
+every cell: a sweep condenses the bulk once.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def run_sweep(spec: DomainSpec, L_list, beta_list, Q_baseline: float,
     if not Ls or not betas:
         raise ValueError("L_list and beta_list must be nonempty")
     meshes = build_reservoir_mesh_family(spec, Ls)
-    condensation = condense_bulk(meshes, p.k_p)
+    condensation = condense_bulk(meshes[Ls.index(max(Ls))], p.k_p)
 
     pdd_star = baseline_pdd(meshes[0], p, Q_baseline, condensation=condensation)
     j_star = Q_baseline / pdd_star

@@ -503,6 +503,17 @@ def test_malformed_value_exits_2(tmp_path, capsys, monkeypatch, command, section
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
+def test_solve_at_aperture_1e300_measures_a_residual(tmp_path, capsys):
+    # the squares of the fracture load overflow; the residual scale, at
+    # most the rate, does not, so the stop test sees a real residual
+    cfg = write_cfg(tmp_path, {"command": "solve", "params": PARAMS,
+                               "domain": dict(DOMAIN, aperture=1e300)})
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "solve_summary.json").read_text())
+    assert summary["final_residual"] > 0.0 and summary["PDD"] > 0.0
+    assert capsys.readouterr().err == ""
+
+
 def test_solver_failure_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, {
         "command": "inverse", "domain": DOMAIN,

@@ -223,7 +223,7 @@ class TestNewton:
                                   lambda v: 4.0 * np.linalg.solve(A, v))
 
         z, rep = _newton(linearize, 2, 1e-12, 20)
-        assert rep.converged and rep.damping_used == 0.25
+        assert rep.damping_used == 0.25
         assert np.allclose(z, np.linalg.solve(A, b), rtol=1e-12)
 
     def test_iterations_count_direction_solves(self):
@@ -245,7 +245,7 @@ class TestNewton:
                                   solve)
 
         z, rep = _newton(linearize, 2, 1e-12, 20)
-        assert rep.converged and rep.iterations == len(solves) == 1
+        assert rep.iterations == len(solves) == 1
         assert np.array_equal(solves[0], np.zeros(2))
         assert np.allclose(z, np.linalg.solve(A, b), rtol=1e-12)
 
@@ -276,7 +276,7 @@ class TestNewton:
 
     def test_stalled_iterate_within_its_rounding_floor_converges(self):
         z, rep = _newton(self.half_solved(1.0), 2, 1e-9, 20)
-        assert rep.converged and rep.iterations == 2
+        assert rep.iterations == 2
         assert rep.final_residual == pytest.approx(2 ** -0.5)
         assert np.array_equal(z, [1.0, 0.0])
 
@@ -290,10 +290,10 @@ class TestNewton:
         dx = np.diff(xs)
         wx = np.append(dx, 0.0) / 2.0 + np.insert(dx, 0, 0.0) / 2.0
         b = wx * (1.0 - 2.0 * 1e5 * (1.0 - xs) / 0.05)
-        line = TraceLine(1.0, dx, wx, wx, 1.0)
-        z, rep = _solve_line(np.zeros((33, 33)), line, p, b,
-                             float(np.linalg.norm(b)), 1e-10, 100)
-        assert rep.converged and rep.final_residual > 1e-10
+        # the residual relative to |b|: a unit rate on a line of scale |b|
+        line = TraceLine(1.0, dx, wx, float(np.linalg.norm(b)), 1.0)
+        z, rep = _solve_line(np.zeros((33, 33)), line, p, b, 1.0, 1e-10, 100)
+        assert rep.final_residual > 1e-10
         # the closed form: each edge's flux is the load beyond it
         v = np.cumsum(b[:0:-1])[::-1]
         exact = np.append(0.0, np.cumsum(forchheimer_inverse_1d(-v, p) * dx))
@@ -343,7 +343,7 @@ class TestPinnedSolve:
         assert err.value.history == [("dense", 2)]
 
     def test_indefinite_line_raises_in_its_first_step(self):
-        line = TraceLine(1.0, np.ones(2), np.ones(3), np.ones(3), 1.0)
+        line = TraceLine(1.0, np.ones(2), np.ones(3), 1.0, 1.0)
         with pytest.raises(SolverError, match="Newton step 1") as err:
             _solve_line(-10.0 * np.eye(3), line, FlowParams(), np.ones(3),
                         1.0, 1e-9, 10)
@@ -416,7 +416,7 @@ class TestSolvePss:
     def test_darcy_single_iteration_matches_linear(self, rect_mesh):
         p = FlowParams(alpha_f=0.1, beta=0.0)
         z, rep = solve_pss(rect_mesh, p, 500.0)
-        assert rep.iterations == 1 and rep.converged
+        assert rep.iterations == 1
         lin = solve_pinned(assemble_A(rect_mesh, p),
                            -assemble_B_in(rect_mesh) * 500.0, rect_mesh.well_node)
         rel = np.linalg.norm(z.values - lin) / np.linalg.norm(lin)
@@ -424,13 +424,12 @@ class TestSolvePss:
 
     def test_zero_aperture_takes_one_step(self, bare_mesh):
         _, rep = solve_pss(bare_mesh, FlowParams(alpha_f=0.1, beta=0.5), 500.0)
-        assert rep.iterations == 1 and rep.converged
+        assert rep.iterations == 1
 
     def test_zero_rate_gives_zero_field(self, rect_mesh):
         p = FlowParams(alpha_f=0.1, beta=0.5)
-        z, rep = solve_pss(rect_mesh, p, 0.0)
+        z, _ = solve_pss(rect_mesh, p, 0.0)
         assert np.abs(z.values).max() == 0.0
-        assert rep.converged
 
     def test_linear_scaling_in_rate(self, rect_mesh):
         p = FlowParams(alpha_f=0.1, beta=0.0)
@@ -538,9 +537,8 @@ class TestSolveSlab:
         p = FlowParams(alpha_f=1.0, beta=1.0)
         zero = lambda x: 0.0
         for reduced in (False, True):
-            W, rep = solve_slab(m, p, "isotropic", zero, zero, 0.0, reduced=reduced)
+            W, _ = solve_slab(m, p, "isotropic", zero, zero, 0.0, reduced=reduced)
             assert np.abs(W.values).max() == 0.0
-            assert rep.converged
 
     @pytest.mark.parametrize("flavor", ["isotropic", "anisotropic"])
     def test_darcy_slab_takes_one_step(self, flavor, monkeypatch):
@@ -553,7 +551,7 @@ class TestSolveSlab:
             made = len(factorizations)
             _, rep = solve_slab(m, FlowParams(alpha_f=2.0, beta=0.0), flavor,
                                 q, q, 0.5, reduced=reduced)
-            assert rep.iterations == steps and rep.converged
+            assert rep.iterations == steps
             assert len(factorizations) - made == steps
 
     @settings(max_examples=30, deadline=None)
@@ -567,7 +565,7 @@ class TestSolveSlab:
         q = lambda x: q0 * (1.0 - x)
         tol = 1e-8
         W, rep = solve_slab(m, p, flavor, q, q, q_over_v, tol=tol)
-        assert rep.converged and rep.iterations <= 10
+        assert rep.iterations <= 10
         r = assemble_slab_residual(m, p, W, flavor, q, q, q_over_v)
         # plus the rounding by which the solver's per-triangle residual and
         # this K(W) W - rhs one differ (at most 6e-12 of the load in a
@@ -587,7 +585,7 @@ class TestSolveSlab:
         q = lambda x: q0 * (1.0 - x)
         _, rep = solve_slab(m, FlowParams(alpha_f=1.0, beta=beta), flavor,
                             q, q, q_over_v, tol=1e-10)
-        assert rep.converged and rep.final_residual <= 1e-10
+        assert rep.final_residual <= 1e-10
 
     @pytest.mark.parametrize("q0", [4.0, 8.0])
     def test_deep_drag_isotropic_slab_converges(self, q0, monkeypatch):
@@ -597,7 +595,7 @@ class TestSolveSlab:
         p = FlowParams(alpha_f=1.0, beta=1.0)
         q = lambda x: q0 * (1.0 - x)
         W, rep = solve_slab(m, p, "isotropic", q, q, 0.0, tol=1e-10)
-        assert rep.converged and rep.iterations <= 10
+        assert rep.iterations <= 10
         r = assemble_slab_residual(m, p, W, "isotropic", q, q, 0.0)
         assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(slab_rhs(m, q, q, 0.0))
         # with the gradients split as g(Wbar) + g(W - Wbar) the solve reaches
@@ -607,7 +605,7 @@ class TestSolveSlab:
         states = record_linearizations(monkeypatch)
         _, rep = solve_slab(m, p, "isotropic", q, q, 0.0, tol=1e-15)
         floor = states[-1].rounding()[1]
-        assert rep.converged and rep.iterations <= 10
+        assert rep.iterations <= 10
         assert 1e-15 < rep.final_residual <= floor
 
     def test_small_update_that_cuts_the_residual_is_no_stall(self):
@@ -617,7 +615,7 @@ class TestSolveSlab:
         q = lambda x: -4.0 * (1.0 - x)
         _, rep = solve_slab(m, FlowParams(alpha_f=1.0, beta=7.0), "anisotropic",
                             q, q, 1.0, tol=1e-8)
-        assert rep.converged and rep.iterations == 3
+        assert rep.iterations == 3
         assert rep.final_residual <= 1e-8
 
     def test_reordered_factor_names_its_first_moved_row(self):
@@ -648,7 +646,7 @@ class TestSolveSlab:
                 p = FlowParams(alpha_f=1.0, beta=beta)
                 q = lambda x: q0 * (1.0 - x)
                 W, rep = solve_slab(m, p, flavor, q, q, 0.0, tol=1e-10)
-                assert rep.converged and rep.final_residual <= 1e-10, (flavor, q0, beta)
+                assert rep.final_residual <= 1e-10, (flavor, q0, beta)
                 # the oracle's nodal residual K(W) W - rhs reads the float64
                 # storage of W: at the three strong-contrast anisotropic
                 # slabs |r| / |rhs| is 7.8e-6, 7.7e-7 and 8.4e-4 at any
@@ -666,7 +664,7 @@ class TestSolveSlab:
         for flavor, q0 in [("isotropic", 4.0), ("anisotropic", 2.0)]:
             q = lambda x: q0 * (1.0 - x)
             _, rep = solve_slab(m, p, flavor, q, q, 0.0, tol=1e-14)
-            assert rep.converged and rep.final_residual <= 1e-14, (flavor, rep)
+            assert rep.final_residual <= 1e-14, (flavor, rep)
 
     @pytest.mark.parametrize("flavor", ["isotropic", "anisotropic"])
     def test_slab_energy_descends_along_iterates(self, flavor, monkeypatch):
@@ -778,9 +776,9 @@ class TestSolveSlab:
         monkeypatch.setattr(fracflow.solvers, "splu", no_splu)
         m = build_fracture_slab_mesh(1.0, 0.1, 16, 4)
         q = lambda x: 1.0 - x
-        W, rep = solve_slab(m, FlowParams(beta=1.0), "anisotropic", q, q, 0.5,
-                            reduced=True)
-        assert rep.converged and np.abs(W.values).max() > 0.0
+        W, _ = solve_slab(m, FlowParams(beta=1.0), "anisotropic", q, q, 0.5,
+                          reduced=True)
+        assert np.abs(W.values).max() > 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(flavor=st.sampled_from(["isotropic", "anisotropic"]),
@@ -797,7 +795,7 @@ class TestSolveSlab:
         p = FlowParams(alpha_f=1.0, beta=beta)
         q = lambda x: q0 * (1.0 - x)
         W, rep = solve_slab(m, p, flavor, q, q, q_over_v, reduced=True)
-        assert rep.iterations == 0 and rep.converged
+        assert rep.iterations == 0
         # the line equations' rounding at n nodes: 2 u n of the load
         assert rep.final_residual <= 1e-13
         z, slack, floor = exact_reduced_line(m, p, q, q_over_v)
@@ -810,7 +808,7 @@ class TestSolveSlab:
         p = FlowParams(alpha_f=1.0, beta=1.0)
         q = lambda x: 1e5 * (1.0 - x)
         W, rep = solve_slab(m, p, "isotropic", q, q, 1.0, tol=1e-10, reduced=True)
-        assert rep.iterations == 0 and rep.converged
+        assert rep.iterations == 0
         assert rep.final_residual <= 1e-14
         z, slack, floor = exact_reduced_line(m, p, q, 1.0)
         assert np.all(np.abs(W.values[m.grid[0]] - z) <= 1e-13 * slack + floor)
