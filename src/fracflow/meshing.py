@@ -9,7 +9,7 @@ Two generators:
   from it.
 * :func:`build_fracture_slab_mesh` meshes the thin rectangle
   [0, L] x [-h/2, h/2] used when comparing the full fracture flow
-  against its 1-D reduction, with the four boundary groups tagged.
+  against its 1-D reduction, with its two faces and its well end tagged.
 
 Meshes are immutable once built.  Every mesh is a tensor grid (the disk a
 polar one, of rings by sectors) and records its node ids as a grid, from
@@ -37,12 +37,10 @@ __all__ = [
     "build_fracture_slab_mesh",
 ]
 
-# boundary_edges tags
-TAG_OUTER = "outer"
+# boundary_edges tags of a slab mesh
 TAG_FRAC_PLUS = "frac_plus"
 TAG_FRAC_MINUS = "frac_minus"
 TAG_WELL = "well"
-TAG_FRAC_OUT = "frac_out"
 
 
 @dataclass(frozen=True)
@@ -125,8 +123,8 @@ class Mesh:
         ordered from the well outward (empty for slab meshes, where the
         whole domain is the fracture).
     well_node: node index pinned by the well condition.
-    boundary_edges: tag -> (e, 2) node pairs; tags "outer", "frac_plus",
-        "frac_minus", "well", "frac_out".
+    boundary_edges: tag -> (e, 2) node pairs: a slab mesh's "frac_plus",
+        "frac_minus" and "well"; no-flow boundaries carry no tag.
     aperture: fracture thickness carried along for assembly.
     grid: (ny, nx) node ids, each node's neighbors on the adjacent rows
         and columns; a disk's rows are its rings and its columns its
@@ -184,7 +182,10 @@ def _check_nodes(count: float) -> None:
 
 
 def _graded_sizes(span: float, first: float, ratio: float) -> np.ndarray:
-    """Interval sizes filling `span`, starting near `first`, growing by `ratio`."""
+    """Interval sizes filling `span`: equal ones nearest `first` at a ratio
+    of 1, else the fewest terms of the geometric series of `first` and
+    `ratio` that reach `span`, scaled down to fill it.  Its first is at most
+    `first`, and far less at a ratio >= span/first - 1: span/(1 + ratio)."""
     if span <= 1e-9 * first:  # nothing to fill (guards rounding slivers)
         return np.empty(0)
     if first >= span:
@@ -208,50 +209,26 @@ def _breaks_from(start: float, sizes: np.ndarray, direction: float) -> np.ndarra
     return start + direction * np.cumsum(sizes)
 
 
-def _grid_mesh(xs, ys, frac_x_lo=None, frac_x_hi=None, frac_y=None,
-               tags="reservoir"):
-    """Tensor-product triangulation of sorted x/y lines.
-
-    Cells split along the lower-left to upper-right diagonal.  Given the
-    fracture's lines, exact members of xs and ys, the edges on y = frac_y
-    between them are collected in order, by index, however short the
-    graded intervals beside them.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+def _grid_mesh(xs, ys):
+    """Tensor-product triangulation of sorted float arrays of x/y lines: the
+    nodes, row by row, the triangles, each cell split along its lower-left
+    to upper-right diagonal, and the (ny, nx) grid of node ids."""
     nx, ny = len(xs), len(ys)
     xx, yy = np.meshgrid(xs, ys)  # shape (ny, nx)
     nodes = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def nid(iy, ix):
-        return iy * nx + ix
+    ids = np.arange(nx * ny).reshape(ny, nx)
 
     # lower-left node of every cell, row by row; two triangles per cell
-    n00 = (nx * np.arange(ny - 1)[:, None] + np.arange(nx - 1)).ravel()
+    n00 = ids[:-1, :-1].ravel()
     n10, n01, n11 = n00 + 1, n00 + nx, n00 + nx + 1
     triangles = np.stack([np.column_stack([n00, n10, n11]),
                           np.column_stack([n00, n11, n01])], axis=1).reshape(-1, 3)
+    return nodes, triangles, ids
 
-    fracture_edges = np.empty((0, 2), dtype=int)
-    if frac_y is not None:
-        iy0 = np.searchsorted(ys, frac_y)
-        ix = np.arange(*np.searchsorted(xs, [frac_x_lo, frac_x_hi]))
-        fracture_edges = np.column_stack([nid(iy0, ix), nid(iy0, ix + 1)])
 
-    boundary = {}
-    bottom = np.column_stack([np.arange(nx - 1), np.arange(1, nx)])
-    top = bottom + nid(ny - 1, 0)
-    left = np.column_stack([nid(np.arange(ny - 1), 0), nid(np.arange(1, ny), 0)])
-    right = left + (nx - 1)
-    if tags == "slab":
-        boundary[TAG_FRAC_MINUS] = bottom
-        boundary[TAG_FRAC_PLUS] = top
-        boundary[TAG_WELL] = left
-        boundary[TAG_FRAC_OUT] = right
-    else:
-        boundary[TAG_OUTER] = np.concatenate([bottom, top, left, right])
-
-    return nodes, triangles, fracture_edges, boundary
+def _path_edges(path: np.ndarray) -> np.ndarray:
+    """(k - 1, 2) node pairs joining the k nodes of path in order."""
+    return np.column_stack([path[:-1], path[1:]])
 
 
 def build_reservoir_mesh(spec: DomainSpec) -> Mesh:
@@ -295,8 +272,7 @@ def build_reservoir_mesh_family(spec: DomainSpec, lengths) -> list[Mesh]:
     offs = np.array(kept)
     offs[-1] = max(Ls)
 
-    base = replace(spec, fracture_length=max(Ls))
-    full = _rectangle_mesh(base, offs) if spec.shape == "rectangle" else _disk_mesh(base, offs)
+    full = _rectangle_mesh(spec, offs) if spec.shape == "rectangle" else _disk_mesh(spec, offs)
 
     wx = spec.well[0]
     mids = full.nodes[full.fracture_edges].mean(axis=1)[:, 0]
@@ -313,28 +289,27 @@ def _rectangle_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     wx, wy = spec.well
     L = float(offsets[-1])
     size = float(np.diff(offsets).min())
-    frac_breaks = wx + offsets
     left = _breaks_from(wx, _graded_sizes(wx + w2, size, spec.grading), -1.0)
     right = _breaks_from(wx + L, _graded_sizes(w2 - (wx + L), size, spec.grading), +1.0)
-    xs = np.unique(np.concatenate([left, frac_breaks, right]))
+    xs = np.unique(np.concatenate([left, wx + offsets, right]))
     up = _breaks_from(wy, _graded_sizes(h2 - wy, size, spec.grading), +1.0)
     down = _breaks_from(wy, _graded_sizes(wy + h2, size, spec.grading), -1.0)
     ys = np.unique(np.concatenate([down, [wy], up]))
 
-    nodes, triangles, frac_edges, boundary = _grid_mesh(
-        xs, ys, frac_x_lo=wx, frac_x_hi=wx + L, frac_y=wy)
-    well_node = int(np.argmin(np.hypot(nodes[:, 0] - wx, nodes[:, 1] - wy)))
-    return _oriented(Mesh(nodes, triangles, frac_edges, well_node, boundary,
-                          spec.aperture, np.arange(len(nodes)).reshape(len(ys), len(xs))))
+    nodes, triangles, ids = _grid_mesh(xs, ys)
+    # the fracture: the well's row from its column to the tip's, by index
+    lo, hi = np.searchsorted(xs, [wx, wx + L])
+    path = ids[np.searchsorted(ys, wy), lo:hi + 1]
+    return _oriented(Mesh(nodes, triangles, _path_edges(path), int(path[0]),
+                          aperture=spec.aperture, grid=ids))
 
 
 def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     R = spec.radius
     L = float(offsets[-1])
     size = float(np.diff(offsets).min())
-    frac_radii = offsets[1:]
     outer = _breaks_from(L, _graded_sizes(R - L, size, spec.grading), +1.0)
-    radii = np.unique(np.concatenate([frac_radii, outer]))
+    radii = np.unique(np.concatenate([offsets[1:], outer]))
     _check_nodes(len(radii) * 2.0 * np.pi * R / spec.resolution)
     nb = int(np.ceil(2.0 * np.pi * R / spec.resolution))
     theta = 2.0 * np.pi * np.arange(nb) / nb
@@ -355,18 +330,16 @@ def _disk_mesh(spec: DomainSpec, offsets: np.ndarray) -> Mesh:
     # fracture runs along theta = 0, where sin is exactly zero, to radius L
     n_frac_rings = int(np.searchsorted(radii, L, side="right"))
     frac_nodes = np.concatenate([[0], a[:n_frac_rings, 0]])
-    frac_edges = np.column_stack([frac_nodes[:-1], frac_nodes[1:]])
-    boundary = {TAG_OUTER: np.column_stack([a[-1], b[-1]])}
-    return _oriented(Mesh(nodes, triangles, frac_edges, 0, boundary, spec.aperture,
-                          np.roll(a, -1, axis=1)))
+    return _oriented(Mesh(nodes, triangles, _path_edges(frac_nodes), 0,
+                          aperture=spec.aperture, grid=np.roll(a, -1, axis=1)))
 
 
 def build_fracture_slab_mesh(L: float, h: float, nx: int, ny: int) -> Mesh:
     """Structured mesh of the thin fracture slab [0, L] x [-h/2, h/2].
 
     nx x ny cells, each split into two triangles.  Boundary tags:
-    frac_plus (y = h/2), frac_minus (y = -h/2), well (x = 0),
-    frac_out (x = L).
+    frac_plus (y = h/2), frac_minus (y = -h/2), well (x = 0); the no-flow
+    end x = L has none.
     """
     if L <= 0 or h <= 0:
         raise GeometryError("slab requires L > 0 and h > 0")
@@ -375,11 +348,12 @@ def build_fracture_slab_mesh(L: float, h: float, nx: int, ny: int) -> Mesh:
     _check_nodes(float(nx + 1) * (ny + 1))
     xs = np.linspace(0.0, L, nx + 1)
     ys = np.linspace(-h / 2.0, h / 2.0, ny + 1)
-    nodes, triangles, _, boundary = _grid_mesh(xs, ys, tags="slab")
-    left = np.where(nodes[:, 0] == 0.0)[0]
-    well_node = int(left[np.argmin(np.abs(nodes[left, 1]))])
+    nodes, triangles, ids = _grid_mesh(xs, ys)
+    boundary = {TAG_FRAC_MINUS: _path_edges(ids[0]), TAG_FRAC_PLUS: _path_edges(ids[-1]),
+                TAG_WELL: _path_edges(ids[:, 0])}
+    well_node = int(ids[np.argmin(np.abs(ys)), 0])  # nearest y = 0, the first on a tie
     return _oriented(Mesh(nodes, triangles, np.empty((0, 2), dtype=int), well_node,
-                          boundary, h, np.arange(len(nodes)).reshape(ny + 1, nx + 1)))
+                          boundary, h, ids))
 
 
 def _oriented(m: Mesh) -> Mesh:

@@ -97,9 +97,10 @@ def _lq(area: np.ndarray, g: np.ndarray, q: float) -> float:
     return float(np.sum(area * np.abs(g) ** q) ** (1.0 / q))
 
 
-def _integrate(fn, a: float, b: float, n: int = 2048) -> float:
-    """Composite Simpson rule on a fixed grid (deterministic); fn is
-    evaluated once, on the array of grid points."""
+def _integrate(fn, a: float, b: float) -> float:
+    """Composite Simpson rule on a fixed grid of 2048 intervals
+    (deterministic); fn is evaluated once, on the array of grid points."""
+    n = 2048
     x = np.linspace(a, b, n + 1)
     y = _at_points(fn, x)
     w = np.ones(n + 1)

@@ -602,7 +602,7 @@ def _slab_line(m: Mesh, p: FlowParams, xs: np.ndarray, column: np.ndarray,
 
 
 def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
-               q_over_v: float, tol: float = 1e-9, max_iter: int = 100,
+               q_over_v: float, tol: float = 1e-9,
                reduced: bool = False) -> tuple[ScalarField, SolveReport]:
     """Solve of the slab problem (full or reduced form).
 
@@ -612,14 +612,14 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
     of that source's trapezoid load, in closed form with no Newton step.
 
     The full slab minimizes sum_T area_T Psi(grad W) - rhs . W over the
-    fields that vanish on the pressure-pinned boundary, by Newton on its
-    free nodes for delta = W - Wbar from delta = 0.  Wbar is the line of
-    the full slab's own load, rhs summed per x column per unit thickness,
-    which the thin slab's W is close to.  Every triangle's gradient is
-    g(Wbar) + g(delta), g(Wbar) computed once; on the grid slab
-    g_y(Wbar) = 0 exactly, so the flux across the fracture comes from
-    delta alone, free of the cancellation of two nearly equal large
-    fields.  The line search descends the full energy at Wbar + delta,
+    fields that vanish on the pressure-pinned boundary, by at most 100
+    Newton steps on its free nodes for delta = W - Wbar from delta = 0.
+    Wbar is the line of the full slab's own load, rhs summed per x column
+    per unit thickness, which the thin slab's W is close to.  Every
+    triangle's gradient is g(Wbar) + g(delta), g(Wbar) computed once; on
+    the grid slab g_y(Wbar) = 0 exactly, so the flux across the fracture
+    comes from delta alone, free of the cancellation of two nearly equal
+    large fields.  The line search descends the full energy at Wbar + delta,
     and its updates are relative to it.
     """
     _check_slab(m, flavor)
@@ -678,7 +678,7 @@ def solve_slab(m: Mesh, p: FlowParams, flavor: str, q_plus, q_minus,
             lambda v: _solve_spd(tangent_matrix(_local_stiffness(m, tangent, basis)), v),
             rounding)
 
-    d_f, report = _newton(linearize, len(free), tol, max_iter, origin=w_bar_f)
+    d_f, report = _newton(linearize, len(free), tol, 100, origin=w_bar_f)
     return ScalarField(w_bar + field(d_f), m), report
 
 

@@ -4,6 +4,8 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracflow import (
     DomainSpec,
@@ -67,10 +69,10 @@ class TestReservoirRectangle:
     def test_outer_edges_on_the_boundary(self):
         m = build_reservoir_mesh(rect_spec(width=12.0, height=5.0,
                                            fracture_length=3.0, grading=1.3))
-        nodes = m.nodes[m.boundary_edges["outer"].ravel()]
-        on_x = np.isclose(np.abs(nodes[:, 0]), 6.0, atol=1e-12)
-        on_y = np.isclose(np.abs(nodes[:, 1]), 2.5, atol=1e-12)
-        assert np.all(on_x | on_y)
+        assert m.nodes[:, 0].min() == -6.0 and m.nodes[:, 0].max() == 6.0
+        assert m.nodes[:, 1].min() == -2.5 and m.nodes[:, 1].max() == 2.5
+        # the outer boundary is no-flow, which needs no tag
+        assert m.boundary_edges == {}
 
     def test_fracture_outside_domain_rejected(self):
         with pytest.raises(GeometryError):
@@ -86,10 +88,11 @@ class TestReservoirDisk:
     def test_boundary_polygon_vertex_count(self):
         m = build_reservoir_mesh(DomainSpec(
             shape="disk", radius=1.0, fracture_length=1.0, resolution=0.5))
-        # ceil(2*pi*1/0.5) = 13 boundary vertices
-        boundary_nodes = np.unique(m.boundary_edges["outer"].ravel())
-        assert len(boundary_nodes) == 13
-        assert len(m.boundary_edges["outer"]) == 13
+        # ceil(2*pi*1/0.5) = 13 boundary vertices, the outermost ring
+        ring = m.nodes[m.grid[-1]]
+        assert len(ring) == 13
+        assert np.allclose(np.hypot(ring[:, 0], ring[:, 1]), 1.0, rtol=0, atol=1e-12)
+        assert m.boundary_edges == {}
 
     def test_area_matches_inscribed_polygon(self):
         m = build_reservoir_mesh(DomainSpec(
@@ -112,8 +115,10 @@ class TestReservoirDisk:
     def test_outer_ring_at_radius(self):
         m = build_reservoir_mesh(DomainSpec(
             shape="disk", radius=10.0, fracture_length=4.0, resolution=1.0))
-        ring = m.nodes[m.boundary_edges["outer"].ravel()]
-        assert np.allclose(np.hypot(ring[:, 0], ring[:, 1]), 10.0, atol=1e-12)
+        radius = np.hypot(m.nodes[:, 0], m.nodes[:, 1])
+        ring = radius[m.grid[-1]]
+        assert np.allclose(ring, 10.0, rtol=0, atol=1e-12)
+        assert radius.max() == ring.max()
 
     def test_offcenter_well_rejected(self):
         with pytest.raises(GeometryError):
@@ -127,17 +132,40 @@ class TestSlab:
         m = build_fracture_slab_mesh(1.0, 0.1, 2, 2)
         assert m.num_nodes == 9
         assert m.num_triangles == 8
-        for tag in ("frac_plus", "frac_minus", "well", "frac_out"):
+        assert sorted(m.boundary_edges) == ["frac_minus", "frac_plus", "well"]
+        for tag in ("frac_plus", "frac_minus", "well"):
             assert len(m.boundary_edges[tag]) == 2
 
     def test_tagged_edges_on_their_loci(self):
         L, h = 3.0, 0.2
         m = build_fracture_slab_mesh(L, h, 5, 4)
         locus = {"frac_plus": (1, h / 2), "frac_minus": (1, -h / 2),
-                 "well": (0, 0.0), "frac_out": (0, L)}
+                 "well": (0, 0.0)}
+        assert sorted(m.boundary_edges) == sorted(locus)
         for tag, (axis, value) in locus.items():
             nodes = m.nodes[m.boundary_edges[tag].ravel()]
             assert np.all(np.abs(nodes[:, axis] - value) <= 1e-12)
+
+    def test_tags_match_the_cell_loop(self):
+        nx, ny = 5, 3  # an odd ny: no node of the left column is on y = 0
+        m = build_fracture_slab_mesh(2.0, 0.1, nx, ny)
+
+        def nid(iy, ix):
+            return iy * (nx + 1) + ix
+
+        # reference: the edges of the bottom row, the top row and the left
+        # column, one by one; the well is the left node nearest y = 0
+        expected = {
+            "frac_minus": [(nid(0, ix), nid(0, ix + 1)) for ix in range(nx)],
+            "frac_plus": [(nid(ny, ix), nid(ny, ix + 1)) for ix in range(nx)],
+            "well": [(nid(iy, 0), nid(iy + 1, 0)) for iy in range(ny)]}
+        left = [nid(iy, 0) for iy in range(ny + 1)]
+        well = min(left, key=lambda n: abs(m.nodes[n, 1]))
+        assert sorted(m.boundary_edges) == sorted(expected)
+        for tag, edges in expected.items():
+            assert m.boundary_edges[tag].dtype == np.array(edges).dtype
+            assert np.array_equal(m.boundary_edges[tag], np.array(edges, dtype=int))
+        assert m.well_node == well
 
     def test_y_extent_exact(self):
         m = build_fracture_slab_mesh(2.0, 0.3, 4, 6)
@@ -194,18 +222,18 @@ class TestMeshFamily:
             build_reservoir_mesh_family(rect_spec(), [0.0, 1.0])
 
 
-@pytest.mark.parametrize("tags", ["reservoir", "slab"])
-def test_grid_arrays_match_the_cell_loop(tags):
+def test_grid_arrays_match_the_cell_loop():
     from fracflow.meshing import _grid_mesh
     xs = np.cumsum(1.3 ** np.arange(6)) - 4.0   # graded lines
     ys = np.cumsum(1.2 ** np.arange(4)) - 2.0
-    nodes, triangles, _, boundary = _grid_mesh(xs, ys, tags=tags)
+    nodes, triangles, ids = _grid_mesh(xs, ys)
     nx, ny = len(xs), len(ys)
 
     def nid(iy, ix):
         return iy * nx + ix
 
-    # reference: the triangles and boundary edges built cell by cell
+    # reference: the nodes row by row, and the triangles cell by cell
+    points = [(x, y) for y in ys for x in xs]
     tris = []
     for iy in range(ny - 1):
         for ix in range(nx - 1):
@@ -213,23 +241,13 @@ def test_grid_arrays_match_the_cell_loop(tags):
             n01, n11 = nid(iy + 1, ix), nid(iy + 1, ix + 1)
             tris.append((n00, n10, n11))
             tris.append((n00, n11, n01))
-    bottom = [(nid(0, ix), nid(0, ix + 1)) for ix in range(nx - 1)]
-    top = [(nid(ny - 1, ix), nid(ny - 1, ix + 1)) for ix in range(nx - 1)]
-    left = [(nid(iy, 0), nid(iy + 1, 0)) for iy in range(ny - 1)]
-    right = [(nid(iy, nx - 1), nid(iy + 1, nx - 1)) for iy in range(ny - 1)]
-    if tags == "slab":
-        expected = {"frac_minus": bottom, "frac_plus": top, "well": left,
-                    "frac_out": right}
-    else:
-        expected = {"outer": bottom + top + left + right}
+    grid = [[nid(iy, ix) for ix in range(nx)] for iy in range(ny)]
 
-    assert nodes.shape == (nx * ny, 2)
+    assert np.array_equal(nodes, np.array(points))
     assert triangles.dtype == np.array(tris).dtype
     assert np.array_equal(triangles, np.array(tris, dtype=int))
-    assert sorted(boundary) == sorted(expected)
-    for tag, edges in expected.items():
-        assert boundary[tag].dtype == np.array(edges).dtype
-        assert np.array_equal(boundary[tag], np.array(edges, dtype=int))
+    assert ids.dtype == np.array(grid).dtype
+    assert np.array_equal(ids, np.array(grid))
 
 
 DISK_SPECS = [
@@ -263,7 +281,6 @@ def test_disk_arrays_match_the_ring_loop(spec):
         for k in range(nb):
             tris.append((nid(j, k), nid(j + 1, k), nid(j + 1, k + 1)))
             tris.append((nid(j, k), nid(j + 1, k + 1), nid(j, k + 1)))
-    outer = [(nid(len(radii) - 1, k), nid(len(radii) - 1, k + 1)) for k in range(nb)]
 
     # rings as rows, sectors as columns with the fracture ray (k = 0) last
     grid = [[nid(j, k) for k in range(1, nb + 1)] for j in range(len(radii))]
@@ -271,14 +288,38 @@ def test_disk_arrays_match_the_ring_loop(spec):
     assert np.array_equal(m.nodes, np.array(nodes))
     assert m.triangles.dtype == np.array(tris).dtype
     assert np.array_equal(m.triangles, np.array(tris, dtype=int))
-    assert m.boundary_edges["outer"].dtype == np.array(outer).dtype
-    assert np.array_equal(m.boundary_edges["outer"], np.array(outer, dtype=int))
+    assert m.boundary_edges == {}
     for L, mesh in zip(lengths, family):
         frac = [0] + [nid(j, 0) for j in range(len(radii))
                       if radii[j] <= L * (1.0 + 1e-9)]
         pairs = [(frac[i], frac[i + 1]) for i in range(len(frac) - 1)]
         assert mesh.fracture_edges.dtype == np.array(pairs).dtype
         assert np.array_equal(mesh.fracture_edges, np.array(pairs, dtype=int))
+
+
+def assert_fracture_is_the_column_loop(spec, lengths):
+    """Every member of the family of `lengths` tags the well's row from the
+    well outward: the longest exactly the columns inside [well, well + L],
+    the others a prefix of it ending at their length; the well node sits
+    at the well."""
+    family = build_reservoir_mesh_family(spec, lengths)
+    m = family[int(np.argmax(lengths))]
+    xs, ys = np.unique(m.nodes[:, 0]), np.unique(m.nodes[:, 1])
+    assert np.array_equal(m.grid, np.arange(m.num_nodes).reshape(len(ys), len(xs)))
+    wx, wy = spec.well
+    lo, hi = wx, wx + max(lengths)
+    # reference: the columns of the well's row inside the fracture, one by one
+    iy0 = int(np.flatnonzero(ys == wy)[0])
+    pairs = [(iy0 * len(xs) + ix, iy0 * len(xs) + ix + 1) for ix in range(len(xs) - 1)
+             if lo <= xs[ix] and xs[ix + 1] <= hi]
+    assert m.fracture_edges.dtype == np.array(pairs).dtype
+    assert np.array_equal(m.fracture_edges, np.array(pairs, dtype=int))
+    for L, member in zip(lengths, family):
+        k = len(member.fracture_edges)
+        assert k > 0 and np.array_equal(member.fracture_edges, m.fracture_edges[:k])
+        tip = m.nodes[member.fracture_edges[-1, 1], 0]
+        assert abs(tip - (wx + L)) <= 1e-8 * max(1.0, max(lengths))
+        assert tuple(m.nodes[member.well_node]) == (wx, wy)
 
 
 @pytest.mark.parametrize("spec", [
@@ -291,21 +332,45 @@ def test_disk_arrays_match_the_ring_loop(spec):
               well=(-15.0, 12.0)),
 ])
 def test_grid_fracture_edges_match_the_column_loop(spec):
-    from fracflow.meshing import _grid_mesh
-    m = build_reservoir_mesh(spec)
-    xs, ys = np.unique(m.nodes[:, 0]), np.unique(m.nodes[:, 1])
-    assert np.array_equal(m.grid, np.arange(m.num_nodes).reshape(len(ys), len(xs)))
-    wx, wy = spec.well
-    lo, hi = wx, wx + spec.fracture_length
-    _, _, edges, _ = _grid_mesh(xs, ys, frac_x_lo=lo, frac_x_hi=hi, frac_y=wy)
-    # reference: the columns whose midpoint lies inside the fracture, one by one
-    iy0 = int(np.argmin(np.abs(ys - wy)))
-    tol = 1e-12 * max(1.0, abs(hi - lo))
-    pairs = [(iy0 * len(xs) + ix, iy0 * len(xs) + ix + 1) for ix in range(len(xs) - 1)
-             if lo - tol < 0.5 * (xs[ix] + xs[ix + 1]) < hi + tol]
-    assert edges.dtype == np.array(pairs).dtype
-    assert np.array_equal(edges, np.array(pairs, dtype=int))
-    assert np.array_equal(m.fracture_edges, edges)
+    assert_fracture_is_the_column_loop(spec, [spec.fracture_length])
+
+
+@st.composite
+def rectangle_families(draw):
+    """A rectangle with the well anywhere, graded 1 to 1e15, and 1-4
+    lengths, the tip of one of them on the outer boundary or not.  Lengths
+    of a uniform grid are whole numbers of power-of-two edges: the breaks
+    of other lengths would set its one spacing to their smallest gap."""
+    width = draw(st.sampled_from([20.0, 40.0]))
+    height = draw(st.sampled_from([16.0, 24.0]))
+    resolution = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    wy = draw(st.floats(-0.45, 0.45)) * height
+    if draw(st.booleans()):
+        grading = 1.0
+        wx = width / 2 - resolution * draw(st.integers(1, int(0.7 * width / resolution)))
+        edges = st.integers(1, round((width / 2 - wx) / resolution))
+        lengths = [resolution * n for n in draw(st.lists(edges, min_size=1, max_size=4))]
+    else:
+        grading = 10.0 ** draw(st.floats(np.log10(1.3), 15.0))
+        wx = draw(st.floats(-0.45, 0.3)) * width
+        room = width / 2 - wx
+        length = st.floats(resolution, room) | st.just(room)
+        lengths = draw(st.lists(length, min_size=1, max_size=4))
+    spec = DomainSpec(shape="rectangle", fracture_length=max(lengths), width=width,
+                      height=height, aperture=1.0, well=(wx, wy),
+                      resolution=resolution, grading=grading)
+    return spec, lengths
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=rectangle_families())
+@example(family=(rect_spec(fracture_length=4.0, width=20.0, height=16.0, resolution=2.0,
+                           grading=1e15, well=(-5.0, 1.0)), [4.0]))
+@example(family=(rect_spec(fracture_length=15.0, width=20.0, height=16.0,
+                           resolution=1.0, grading=1e12, well=(-5.0, 0.5)),
+                 [3.0, 15.0, 7.5, 3.0 * (1.0 + 1e-12)]))
+def test_drawn_fracture_edges_match_the_column_loop(family):
+    assert_fracture_is_the_column_loop(*family)
 
 
 @pytest.mark.parametrize("spec", [

@@ -72,6 +72,22 @@ class TestBaseline:
         pdd2 = baseline_pdd(rect_mesh, p, 2000.0)
         assert pdd2 == pytest.approx(2.0 * pdd1, rel=1e-9)
 
+    def test_well_alone_is_the_baseline(self):
+        # condensed on its own, a mesh with no fracture edges has the well
+        # alone for its trace, whose pinned line solve is zero at once
+        m = build_reservoir_mesh(DomainSpec(
+            shape="rectangle", fracture_length=4.0, width=20.0, height=16.0,
+            aperture=1.0, resolution=2.0))
+        p = FlowParams(alpha_f=ALPHA, beta=1e-3)
+        reference = baseline_pdd(m, p, 1000.0)
+        bare = m.with_fracture_edges([])
+        assert len(condense_bulk(bare, p.k_p).trace) == 1
+        W, _ = solve_pss(bare, p, 1000.0)
+        _, gain = step_response(bare, p)
+        for pdd in (baseline_pdd(bare, p, 1000.0), output_C(bare, W), gain * 1000.0):
+            assert pdd == pytest.approx(reference, rel=1e-12)
+        assert solve_setpoint(bare, p, reference).Q == pytest.approx(1000.0, rel=1e-12)
+
     def test_order_of_magnitude_on_disk(self, disk_mesh):
         # with unit rock mobility and rate 1000 the drawdown lands in the
         # hundreds-to-thousands range for reservoir-sized disks
